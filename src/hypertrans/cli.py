@@ -1,9 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 infeasible instance or a failed bound row,
-2 usage or input errors.  Every run echoes its effective configuration and
-tags numeric claims with their provenance (solver, construction, formula).
-With --no-timestamp the output is byte-for-byte reproducible.
+2 usage or input errors, 3 an internal failure (a RuntimeError, such as a
+random draw that found no in-class instance within its retry limit or a
+witness that failed its re-check).  Errors print one `error:` line on
+stderr.  Every run echoes its effective configuration and tags numeric
+claims with their provenance (solver, construction, formula).  With
+--no-timestamp the output is byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
 from .construct import (
     randomized_strong_transversal,
+    strong_expected_bound,
     strong_transversal_trials,
     total_edge_cover_forest,
     tt_2uniform,
@@ -45,6 +50,18 @@ def _u64(text: str) -> int:
     if not 0 <= v < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return v
+
+
+def _jobs(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError("jobs must be at least 1")
+    return v
+
+
+def _workers(jobs: int) -> int:
+    """--jobs capped at the machine's CPU count."""
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _load(path: str):
@@ -108,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=2.0)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=_u64, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
     sp.add_argument("--cap", type=int, default=16,
                     help="exact packing limit for tec-forest")
     common(sp)
@@ -152,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=2.0)
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--seed", type=_u64, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
     common(sp)
     sp.set_defaults(func=_cmd_sweep)
     return p
@@ -204,14 +221,15 @@ def _cmd_construct(args):
                 "provenance": {"set": "construction",
                                "guarantee": "formula"}}, 0
     if args.method == "strong":
-        res = randomized_strong_transversal(H, args.c, args.seed)
-        return {"method": args.method, "set": sorted(res.set),
-                "size": res.size, "guarantee": str(res.guarantee),
+        chosen = randomized_strong_transversal(H, args.c, args.seed)
+        return {"method": args.method, "set": list(chosen),
+                "size": len(chosen),
+                "expected_size_bound": strong_expected_bound(H, args.c),
                 "c": args.c, "seed": args.seed,
                 "provenance": {"set": "construction",
-                               "guarantee": "formula"}}, 0
+                               "expected_size_bound": "formula"}}, 0
     rep = strong_transversal_trials(H, args.c, args.trials, args.seed,
-                                    jobs=args.jobs)
+                                    jobs=_workers(args.jobs))
     out = rep.as_dict()
     out["method"] = args.method
     out["provenance"] = {"mean_size": "construction", "bound": "formula"}
@@ -274,7 +292,7 @@ def _cmd_sweep(args):
     if not k_list or any(k < 2 for k in k_list):
         raise ValueError(f"bad --k-list {args.k_list!r}")
     rows = asymptotic_sweep(k_list, args.c, args.trials, args.seed,
-                            jobs=args.jobs)
+                            jobs=_workers(args.jobs))
     return {"rows": [r.as_dict() for r in rows],
             "provenance": {"upper_per_nm": "construction",
                            "mc_mean_per_nm": "construction",
@@ -372,6 +390,9 @@ def main(argv=None) -> int:
     except (OSError, FormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     payload = {"command": args.command, "config": _config_of(args),
                "result": result}
     if not args.no_timestamp:

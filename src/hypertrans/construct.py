@@ -458,6 +458,15 @@ def _strong_params(H: Hypergraph, c: float):
     return k, p
 
 
+def strong_expected_bound(H: Hypergraph, c: float) -> float:
+    """Closed-form bound on the expected size of the randomized strong
+    transversal, ln(ck)/(k-1) n + ln(ck)/(c(k-1)) m + 2m/(ck); one run may
+    exceed it."""
+    k, _ = _strong_params(H, c)
+    lk = math.log(k) + math.log(c)
+    return lk / (k - 1) * H.n + lk / (c * (k - 1)) * H.m + 2 / (c * k) * H.m
+
+
 def _strong_parts(masks, n: int, p: float, rng: SplitMix64):
     x1 = 0
     for v in range(n):
@@ -526,7 +535,7 @@ def strong_transversal_trials(
     else:
         rows = _trial_rows(H, c, seed, 0, trials)
     lk = math.log(k) + math.log(c)
-    bound = lk / (k - 1) * H.n + lk / (c * (k - 1)) * H.m + 2 / (c * k) * H.m
+    bound = strong_expected_bound(H, c)
     sizes = [r[0] for r in rows]
     x1s = [r[1] for r in rows]
     return TrialReport(

@@ -123,23 +123,16 @@ def class_check(H: Hypergraph) -> ClassCheck:
     dp = degree_profile(H)
     isolated_vertex = dp.delta == 0 and H.n > 0
     masks = H.edge_masks()
-    isolated_edge = False
-    linear = True
+    # an edge meets another exactly when it has a vertex of degree >= 2
+    shared_vertices = _mask(v for v, d in enumerate(dp.degrees) if d >= 2)
+    isolated_edge = not all(a & shared_vertices for a in masks)
     max_shared = 0
-    for i, a in enumerate(masks):
-        touches = False
-        for j, b in enumerate(masks):
-            if i == j:
-                continue
+    for i, a in enumerate(masks):        # each unordered pair once
+        for b in masks[i + 1:]:
             shared = (a & b).bit_count()
-            if shared:
-                touches = True
             if shared > max_shared:
                 max_shared = shared
-            if shared > 1:
-                linear = False
-        if not touches and H.m >= 1:
-            isolated_edge = True
+    linear = max_shared <= 1
     in_hk = (
         uniform
         and k >= 2

@@ -2,9 +2,14 @@
 theorem-verification harness.
 
 Canonical form is the lexicographically smallest sorted edge list over all
-vertex relabelings, found by pruned assignment search; enumeration emits
-canonical representatives only.  All theorem rows carry exact rationals so
-tightness (slack zero) is a meaningful statement.
+vertex relabelings.  One best-first assignment search finds it: labels go
+out in increasing order, children are ranked by an incremental lower bound
+on the sorted edge image and dropped once that bound reaches the incumbent,
+and vertices lying in exactly the same edges are tried once.  The
+enumeration's canonicity gate runs the same search and stops at the first
+image below the candidate, so it emits canonical representatives only.  All
+theorem rows carry exact rationals so tightness (slack zero) is a meaningful
+statement.
 """
 
 from __future__ import annotations
@@ -39,38 +44,77 @@ def invariant_signature(H: Hypergraph) -> tuple:
     return (H.n, H.m, tuple(sorted(H.degrees())), tuple(overlaps))
 
 
-def canonical_key(H: Hypergraph) -> tuple:
-    """Lexicographically minimal sorted edge list over all relabelings."""
+def _lex_min(H: Hypergraph, stop_below: bool) -> tuple:
+    """Smallest sorted edge image over all relabelings, by best-first search.
+
+    Vertices get labels 0, 1, 2, ... in order, so each edge's assigned labels
+    grow by appending and stay sorted.  An edge with labels `got` and `need`
+    unlabeled vertices is bounded below by `got` plus the next `need` labels;
+    the sorted list of those per-edge bounds bounds every completion.  At
+    label t each child v -> t is scored by that bound (edges through v keep
+    t, the others start at t + 1); children whose bound is not below the
+    incumbent are dropped and the rest searched smallest bound first.
+    Unlabeled vertices lying in exactly the same edges are swapped by an
+    automorphism that fixes every labeled vertex, so only one of them is
+    tried.  With stop_below the search returns the first image strictly
+    below H.edges, which decides canonicity without finishing the search.
+    """
     n, edges = H.n, H.edges
+    lengths = range(max(map(len, edges), default=0) + 1)
+    # the edges through each vertex
+    where = [tuple(i for i, e in enumerate(edges) if v in e) for v in range(n)]
+    got: list[tuple] = [()] * len(edges)
+    need = [len(e) for e in edges]
     best = edges                     # identity relabeling, start tight
-    assign = [-1] * n
 
-    def lower_bound(t: int) -> tuple:
-        out = []
-        for e in edges:
-            got = sorted(assign[v] for v in e if assign[v] >= 0)
-            need = len(e) - len(got)
-            out.append(tuple(sorted(got + list(range(t, t + need)))))
-        return tuple(sorted(out))
-
-    def dfs(t: int, remaining: tuple):
+    def search(t: int, free: list, here: list) -> bool:
+        # here[r] is the run of labels t..t+r-1
         nonlocal best
-        if lower_bound(t) > best:
-            return
-        if not remaining:
-            img = tuple(
-                sorted(tuple(sorted(assign[v] for v in e)) for e in edges)
-            )
+        later = [tuple(range(t + 1, t + 1 + r)) for r in lengths]
+        stay = [g + here[r] for g, r in zip(got, need)]
+        bump = [g + later[r] for g, r in zip(got, need)]
+        twins = {}
+        for v in free:
+            twins.setdefault(where[v], v)
+        children = []
+        for v in twins.values():
+            img = bump[:]
+            for i in where[v]:
+                img[i] = stay[i]
+            img.sort()
+            img = tuple(img)
             if img < best:
+                children.append((img, v))
+        children.sort()
+        last = len(free) == 1
+        for img, v in children:
+            if img >= best:
+                break
+            if last:                 # every edge complete: img is an image
                 best = img
-            return
-        for v in remaining:
-            assign[v] = t
-            dfs(t + 1, tuple(u for u in remaining if u != v))
-            assign[v] = -1
+                return stop_below
+            for i in where[v]:
+                got[i] += (t,)
+                need[i] -= 1
+            stop = search(t + 1, [u for u in free if u != v], later)
+            for i in where[v]:
+                got[i] = got[i][:-1]
+                need[i] += 1
+            if stop:
+                return True
+        return False
 
-    dfs(0, tuple(range(n)))
+    search(0, list(range(n)), [tuple(range(r)) for r in lengths])
     return best
+
+
+def canonical_key(H: Hypergraph) -> tuple:
+    """Lexicographically minimal sorted edge list over all relabelings.
+
+    Edges may differ in size.  The search is the pruned best-first
+    assignment of `_lex_min`, run to the end.
+    """
+    return _lex_min(H, stop_below=False)
 
 
 def canonical_form(H: Hypergraph) -> Hypergraph:
@@ -78,7 +122,9 @@ def canonical_form(H: Hypergraph) -> Hypergraph:
 
 
 def is_canonical(H: Hypergraph) -> bool:
-    return canonical_key(H) == H.edges
+    """True when no relabeling gives a sorted edge list below H.edges; stops
+    at the first one that does."""
+    return _lex_min(H, stop_below=True) == H.edges
 
 
 def enumerate_Hk(k: int, n_max: int, m_max: int, nm_max: int | None = None):

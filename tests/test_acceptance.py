@@ -5,6 +5,7 @@ Shared instance pools are built once per module; every criterion prints
 readable in plain pytest output.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -54,13 +55,27 @@ def _isomorphic(A, B):
     )
 
 
+# sha256 of the concatenated to_text() of each enumeration stream: pins the
+# representatives and their order, not just the class counts
+ENUM_DIGESTS = {
+    2: "dd6584b8ef69190f0ab54b3c39828b8b1b475ed59853f89f2975d01dd02227c3",
+    3: "d594eaba9ec2fe77db73ddf0cbb7040a2a64ae17a3e5f3485ebd9bfa881fcd3e",
+}
+ENUM_RANDOM = 30   # random denser 3-uniform instances after the enumeration
+
+
+def _stream_digest(instances):
+    text = "".join(H.to_text() for H in instances)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def enum_pool():
     """Criterion 4 instance sets, reused by criterion 9."""
     h2 = list(enumerate_Hk(2, 8, 9, nm_max=12))
     h3 = list(enumerate_Hk(3, 7, 5))
     # denser shapes are out of enumeration reach; cover them randomly
-    for i in range(30):
+    for i in range(ENUM_RANDOM):
         h3.append(random_hypergraph(3, 7, 6 + i % 4, split_seed(404, i),
                                     require_class=True))
     return h2, h3
@@ -140,12 +155,17 @@ def test_c04_theorem_suite_enumerated(capsys, enum_pool):
         if not rep.all_hold:
             bad.append((H.edges, [r.as_dict() for r in rep.rows if not r.holds]))
     dt = time.perf_counter() - t0
-    ok = not bad and dt < 600.0
+    enumerated3 = h3[:len(h3) - ENUM_RANDOM]
+    streams = {2: _stream_digest(h2), 3: _stream_digest(enumerated3)}
+    pinned = streams == ENUM_DIGESTS
+    ok = (not bad and dt < 600.0 and pinned
+          and (len(h2), len(enumerated3)) == (49, 184))
     _verdict(capsys, 4, ok,
              f"enumerated theorem suite: {len(h2)} two-uniform + "
-             f"{len(h3)} three-uniform instances, {len(bad)} violations "
+             f"{len(h3)} three-uniform instances, {len(bad)} violations, "
+             f"stream digests {'pinned' if pinned else 'CHANGED'} "
              f"({dt:.1f}s, cap 600s)")
-    assert ok, bad[:3]
+    assert ok, (bad[:3], streams)
 
 
 def test_c05_theorem_suite_random(capsys, random_pool):

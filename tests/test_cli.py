@@ -1,12 +1,21 @@
 """End-to-end command line checks: output shape, determinism, exit codes."""
 
+import csv
 import json
 
+from hypertrans import cli
 from hypertrans.cli import main
+from hypertrans.construct import (
+    randomized_strong_transversal,
+    strong_expected_bound,
+)
+from hypertrans.hcore import from_text
+from hypertrans.solve import is_strong_transversal
 
 C5 = "hg 5 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n"
 P3 = "hg 3 2\ne 0 1\ne 1 2\n"
 K2 = "g 2 1\ne 0 1\n"
+RING4 = "hg 8 4\ne 0 1 2 3\ne 2 3 4 5\ne 4 5 6 7\ne 0 1 6 7\n"
 
 
 def _run(capsys, argv):
@@ -189,3 +198,63 @@ def test_csv_rejects_nothing_weird(tmp_path, capsys):
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert lines[0].split(",")[:2] == ["invariant", "value"]
     assert lines[1].split(",")[:2] == ["tau", "3"]
+
+
+def test_construct_strong_all_formats(tmp_path, capsys):
+    text = "hg 6 3\ne 0 1 2\ne 2 3 4\ne 3 4 5\n"
+    f = tmp_path / "k3.hg"
+    f.write_text(text)
+    H = from_text(text)
+    argv = ["construct", "--method", "strong", str(f), "--seed", "4",
+            "--no-timestamp", "--format"]
+    code, out, err = _run(capsys, argv + ["json"])
+    assert code == 0 and not err
+    res = json.loads(out)["result"]
+    assert tuple(res["set"]) == randomized_strong_transversal(H, 2.0, 4)
+    assert is_strong_transversal(H, res["set"])
+    assert res["size"] == len(res["set"])
+    # a bound on the expected size, which one run may exceed
+    assert res["expected_size_bound"] == strong_expected_bound(H, 2.0)
+    assert res["provenance"] == {"set": "construction",
+                                 "expected_size_bound": "formula"}
+    chosen = " ".join(map(str, res["set"]))
+    code, out, _ = _run(capsys, argv + ["csv"])
+    rows = list(csv.DictReader(
+        ln for ln in out.splitlines() if not ln.startswith("#")))
+    assert code == 0 and len(rows) == 1
+    assert rows[0]["set"] == chosen and rows[0]["size"] == str(res["size"])
+    assert rows[0]["expected_size_bound"] == str(res["expected_size_bound"])
+    code, out, _ = _run(capsys, argv + ["text"])
+    lines = out.splitlines()
+    assert code == 0
+    assert f"  set: {chosen}" in lines and f"  size: {res['size']}" in lines
+    assert f"  expected_size_bound: {res['expected_size_bound']}" in lines
+
+
+def test_runtime_failure_is_exit_three(capsys):
+    # one edge on three vertices always leaves a vertex isolated
+    code, out, err = _run(capsys, ["gen", "--k", "2", "--n", "3", "--m", "1",
+                                   "--seed", "1", "--require-class"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: no in-class instance")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_jobs_validated(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "ring4.hg"
+    g.write_text(RING4)
+    runs = (["construct", "--method", "strong-trials", str(g), "--c", "3.0",
+             "--trials", "8", "--seed", "2"],
+            ["sweep", "--k-list", "3", "--trials", "8", "--seed", "2"])
+    for argv in runs:
+        for bad in ("0", "-1"):
+            code, out, err = _run(capsys, argv + ["--jobs", bad])
+            assert code == 2 and out == "" and "jobs" in err
+        results = []
+        for jobs in ("1", "2"):
+            code, payload, _ = _run_json(capsys, argv + ["--jobs", jobs])
+            assert code == 0
+            results.append(payload["result"])
+        assert results[0] == results[1]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli._workers(2) == 1

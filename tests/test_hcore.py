@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -86,6 +87,26 @@ def test_class_check_exclusions():
     cc5 = class_check(c5)
     assert cc5.in_Hk and not cc5.in_Hk_star
     assert cc5.is_r_regular(2)
+
+
+def test_class_check_pairwise_definition():
+    # the pair flags against a direct reading of their definitions
+    rng = random.Random(118)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        edges = [rng.sample(range(n), rng.randint(1, min(4, n)))
+                 for _ in range(rng.randint(0, 6))]
+        H = hypergraph(n, edges, allow_singletons=True)
+        sets = [set(e) for e in H.edges]
+        shared = [len(a & b) for a, b in itertools.combinations(sets, 2)]
+        cc = class_check(H)
+        assert cc.has_isolated_edge == any(
+            not any(a & b for j, b in enumerate(sets) if j != i)
+            for i, a in enumerate(sets)
+        )
+        assert cc.is_linear == all(s <= 1 for s in shared)
+        if cc.in_Hk:
+            assert cc.in_Hk_star == (cc.k >= 3 and max(shared) <= cc.k - 2)
 
 
 def test_neighborhood():

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from hypertrans import xsearch
 from hypertrans.hcore import Hypergraph, class_check, hypergraph
 from hypertrans.solve import tau_t
-from hypertrans.xform import family_Fk
+from hypertrans.xform import family_Fk, onh
 from hypertrans.xsearch import (
     asymptotic_sweep,
     canonical_form,
@@ -60,6 +61,30 @@ def _labeled_instances(k, n, m_max):
     return out
 
 
+def _lex_min_oracle(H):
+    # brute force on purpose: the definition of the canonical key
+    return min(
+        tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in H.edges))
+        for perm in itertools.permutations(range(H.n))
+    )
+
+
+def _gate_leaves(monkeypatch, k, n_max, m_max):
+    """Every edge list that reaches the is_canonical gate of the enumeration,
+    canonical or not."""
+    leaves = []
+    gate = xsearch.is_canonical
+
+    def record(H):
+        leaves.append(H)
+        return gate(H)
+
+    monkeypatch.setattr(xsearch, "is_canonical", record)
+    list(enumerate_Hk(k, n_max, m_max))
+    monkeypatch.setattr(xsearch, "is_canonical", gate)
+    return leaves
+
+
 def _iso_class_count(instances):
     reps = []
     for H in instances:
@@ -87,6 +112,55 @@ def test_canonical_invariant_under_relabeling():
         assert C.edges[0] == tuple(range(len(C.edges[0])))
         # relabeling preserves the invariant being searched over
         assert tau_t(C).value == tau_t(H).value
+
+
+def test_canonical_matches_oracle_on_gate_leaves(monkeypatch):
+    rejected = 0
+    for k, n_max, m_max in [(2, 5, 4), (3, 5, 3), (2, 6, 5), (3, 6, 3)]:
+        for H in _gate_leaves(monkeypatch, k, n_max, m_max):
+            want = _lex_min_oracle(H)
+            assert canonical_key(H) == want, H.edges
+            assert is_canonical(H) == (want == H.edges), H.edges
+            rejected += want != H.edges
+    assert rejected > 0  # the gate saw non-canonical leaves too
+
+
+def test_canonical_matches_oracle_on_relabelings():
+    rng = random.Random(2024)
+    for _ in range(15):
+        k = rng.choice([2, 3])
+        n = rng.randint(k + 1, 7)
+        H = random_hypergraph(k, n, rng.randint(2, min(6, math.comb(n, k))),
+                              rng.getrandbits(64), require_class=True)
+        want = _lex_min_oracle(H)
+        for _ in range(3):
+            perm = list(range(H.n))
+            rng.shuffle(perm)
+            R = _relabel(H, perm)
+            assert canonical_key(R) == want
+            assert is_canonical(R) == (R.edges == want)
+
+
+def test_canonical_matches_oracle_on_mixed_sizes():
+    rng = random.Random(5)
+    found = []
+    for _ in range(40):
+        H = random_hypergraph(2, 6, rng.randint(3, 6), rng.getrandbits(64),
+                              require_class=True)
+        N = onh(H)
+        if len({len(e) for e in N.edges}) > 1 and min(map(len, N.edges)) == 1:
+            found.append(N)
+    found.append(hypergraph(6, [[0], [1, 2], [0, 3, 4], [2, 5], [1, 3, 4, 5]],
+                            allow_singletons=True))
+    assert len(found) >= 5  # several singleton-bearing onh outputs
+    for N in found:
+        want = _lex_min_oracle(N)
+        perm = list(range(N.n))
+        rng.shuffle(perm)
+        for G in (N, hypergraph(N.n, [[perm[v] for v in e] for e in N.edges],
+                                allow_singletons=True)):
+            assert canonical_key(G) == want
+            assert is_canonical(G) == (G.edges == want)
 
 
 def test_signature_separates_and_respects_iso():
