@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 infeasible instance or a failed bound row,
 2 usage or input errors, 3 an internal failure (a RuntimeError, such as a
 random draw that found no in-class instance within its retry limit or a
-witness that failed its re-check).  Errors print one `error:` line on
+witness that failed its re-check, or running out of memory).  Errors print one `error:` line on
 stderr.  Every run echoes its effective configuration and tags numeric
 claims with their provenance (solver, construction, formula).  With
 --no-timestamp the output is byte-for-byte reproducible.
@@ -392,6 +392,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     payload = {"command": args.command, "config": _config_of(args),
                "result": result}

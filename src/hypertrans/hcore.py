@@ -17,6 +17,28 @@ class FormatError(ValueError):
     """Raised on malformed hypergraph/graph text input."""
 
 
+# largest n or m a text header may declare, checked before anything is built
+# from it: ten times the largest instance the tools are exercised on
+MAX_HEADER_COUNT = 10_000
+
+
+def header_counts(line: str, kind: str) -> tuple[int, int]:
+    """(n, m) from a `<kind> n m` header line, within MAX_HEADER_COUNT."""
+    head = line.split()
+    if len(head) != 3 or head[0] != kind:
+        raise FormatError(f"bad header {line!r}, expected '{kind} <n> <m>'")
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:
+        raise FormatError(f"non-integer counts in header {line!r}") from None
+    if max(n, m) > MAX_HEADER_COUNT:
+        raise FormatError(
+            f"header {line!r} exceeds the limit of {MAX_HEADER_COUNT} "
+            f"vertices or edges"
+        )
+    return n, m
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     n: int
@@ -288,13 +310,7 @@ def from_text(text: str) -> Hypergraph:
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "hg":
-        raise FormatError(f"bad header {lines[0]!r}, expected 'hg <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError(f"non-integer counts in header {lines[0]!r}") from None
+    n, m = header_counts(lines[0], "hg")
     if len(lines) - 1 != m:
         raise FormatError(f"header says {m} edges, found {len(lines) - 1}")
     edges = []

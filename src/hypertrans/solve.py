@@ -7,6 +7,17 @@ the side constraint that every picked item has a picked neighbor.  One
 branch-and-bound core solves that; thin wrappers build the encodings, and a
 separate brute-force oracle checks the textbook definitions subset by subset.
 
+The core drops requirements implied by a tighter one, bounds each node by a
+packing of disjoint requirements and branches on the requirement with the
+fewest candidates.  tau, gamma and gamma_t are plain hitting sets (demand 1,
+no side constraint), and for them it does two things more.  At the root it
+drops every item that another item dominates (all of its requirements hold
+that item too), alternating with requirement dominance until neither changes
+anything.  At each node whose open requirements fall into groups that share
+no item, it solves every group by its own search, capped by the incumbent
+less what the other groups need, and adds the results.  A result's `nodes`
+counts the nodes of those group searches as well.
+
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
 
@@ -60,53 +71,139 @@ def _min_selection(nitems: int, reqs, adj):
                 f"requirement {bin(mask)} wants {need} usable items, "
                 f"only {(mask & allowed).bit_count()} exist"
             )
+    reqs = _drop_implied(reqs, allowed)
+    # hitting set (no side constraint, demand 1): an item whose requirements
+    # all hold some other kept item can be swapped for it, and a requirement
+    # lost that way can free further items
+    hitting = adj is None and all(need == 1 for _, need in reqs)
+    while hitting:
+        allowed = _undominated(reqs)
+        if all(mask & ~allowed == 0 for mask, _ in reqs):
+            break                 # only items in no requirement were dropped
+        before = len(reqs)
+        reqs = _drop_implied(reqs, allowed)
+        if len(reqs) == before:   # same requirements, same item signatures
+            break
+    greedy = _greedy(reqs, adj, allowed)
+    size, mask, nodes = _search(reqs, adj, allowed, greedy.bit_count(), hitting)
+    if mask is None:   # nothing beats the greedy selection
+        mask = greedy
+    return size, mask, nodes
 
-    # drop requirements implied by a tighter one (subset with >= demand)
+
+def _drop_implied(reqs, allowed):
+    """Requirements restricted to allowed, minus those implied by a tighter
+    one (a subset with >= demand), in their original order so that branching
+    tie-breaks stay index-based."""
     eff = sorted(
         ((mask & allowed, need) for mask, need in reqs),
         key=lambda r: (r[0].bit_count(), -r[1]),
     )
     kept: list[tuple[int, int]] = []
     for mask, need in eff:
-        if not any(km & ~mask == 0 and kn >= need for km, kn in kept):
+        for km, kn in kept:
+            if km & ~mask == 0 and kn >= need:
+                break
+        else:
             kept.append((mask, need))
-    # restore original ordering so branching tie-breaks stay index-based
     order = {r: i for i, r in enumerate((m & allowed, nd) for m, nd in reqs)}
     kept.sort(key=lambda r: order[r])
-    reqs = kept
+    return kept
 
-    nodes = 0
 
-    def greedy() -> int:
-        sel = 0
+def _undominated(reqs) -> int:
+    """Items of a demand-1 hitting set that no other item dominates.
+
+    j dominates i when every requirement holding i also holds j; between
+    equal signatures the lower index survives.  The relation is a strict
+    order, so every dropped item has an undominated dominator and some
+    minimum selection uses undominated items only.
+    """
+    common: dict[int, int] = {}   # item bit -> AND of its requirements
+    for mask, _ in reqs:
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common[b] = common.get(b, mask) & mask
+    kept = 0
+    for b, others in common.items():
+        # others are in every requirement of b; one dominates b if it has a
+        # lower index, or if one of its requirements lacks b
+        others ^= b
+        if others and (others & (b - 1) or any(
+            not common[j] & b for j in _bits(others)
+        )):
+            continue
+        kept |= b
+    return kept
+
+
+def _greedy(reqs, adj, allowed) -> int:
+    """Repeatedly pick the item in the most unmet requirements (lowest index
+    on ties), then give every lonely pick a neighbor."""
+    sel = 0
+    while True:
+        unmet = [mask for mask, need in reqs if (mask & sel).bit_count() < need]
+        if not unmet:
+            break
+        best_gain, best_item = 0, -1
+        for b in _bits(allowed & ~sel):
+            gain = len([mask for mask in unmet if mask & b])
+            if gain > best_gain:
+                best_gain, best_item = gain, b
+        sel |= best_item
+    if adj is not None:
         while True:
-            deficits = [
-                (mask, need - (mask & sel).bit_count()) for mask, need in reqs
-            ]
-            if all(d <= 0 for _, d in deficits):
+            lonely = next(
+                (b for b in _bits(sel) if adj[b.bit_length() - 1] & sel == 0),
+                0,
+            )
+            if not lonely:
                 break
-            best_gain, best_item = 0, -1
-            for b in _bits(allowed & ~sel):
-                gain = sum(
-                    min(d, 1) for mask, d in deficits if d > 0 and mask & b
-                )
-                if gain > best_gain:
-                    best_gain, best_item = gain, b
-            sel |= best_item
-        if adj is not None:
-            while True:
-                lonely = next(
-                    (b for b in _bits(sel) if adj[b.bit_length() - 1] & sel == 0),
-                    0,
-                )
-                if not lonely:
-                    break
-                cand = adj[lonely.bit_length() - 1] & allowed & ~sel
-                sel |= cand & -cand
-        return sel
+            cand = adj[lonely.bit_length() - 1] & allowed & ~sel
+            sel |= cand & -cand
+    return sel
 
-    best_mask = greedy()
-    best_size = best_mask.bit_count()
+
+def _packing(active) -> int:
+    """Disjoint requirements need disjoint picks: a matching lower bound."""
+    lb = 0
+    used = 0
+    for cand, d in sorted(active, key=lambda a: a[0].bit_count()):
+        if cand & used == 0:
+            lb += d
+            used |= cand
+    return lb
+
+
+def _components(cands) -> list[int]:
+    """Item unions of the connected groups of masks (linked by shared items)."""
+    groups = []
+    while cands:
+        comp = cands[0]
+        grown = True
+        while grown:
+            grown = False
+            for c in cands:
+                if c & comp and c & ~comp:
+                    comp |= c
+                    grown = True
+        groups.append(comp)
+        cands = [c for c in cands if not c & comp]
+    return groups
+
+
+def _search(reqs, adj, allowed, best_size, hitting):
+    """Depth-first branch and bound for a selection smaller than best_size.
+
+    Returns (size, mask, nodes) of the smallest one, with mask None when none
+    exists.  For a hitting set (demand 1, no side constraint), a node whose
+    open requirements fall into groups that share no item searches each
+    group on its own and adds up the results.
+    """
+    best_mask = None
+    nodes = 0
 
     def dfs(sel: int, size: int, banned: int):
         nonlocal nodes, best_mask, best_size
@@ -131,15 +228,14 @@ def _min_selection(nitems: int, reqs, adj):
         if not active:
             best_mask, best_size = sel, size
             return
-        # disjoint requirements need disjoint picks: matching lower bound
-        lb = 0
-        used = 0
-        for cand, d in sorted(active, key=lambda a: a[0].bit_count()):
-            if cand & used == 0:
-                lb += d
-                used |= cand
-        if size + lb >= best_size:
+        if size + _packing(active) >= best_size:
             return
+        if hitting:
+            cands = [c for c, _ in active]
+            groups = _components(cands)
+            if len(groups) > 1:
+                split(sel, size, cands, groups)
+                return
         cand, d = min(active, key=lambda a: a[0].bit_count())
         out = banned
         rest = cand
@@ -151,6 +247,31 @@ def _min_selection(nitems: int, reqs, adj):
             out |= b
             if rest.bit_count() < d:    # too few candidates left for the demand
                 return
+
+    def split(sel: int, size: int, cands, groups):
+        # each group may use the incumbent minus what the others need at
+        # least: their exact value once solved, their packing bound until
+        # then.  The bounds add up to the node's own packing bound, which
+        # the caller has already checked against the incumbent.
+        nonlocal nodes, best_mask, best_size
+        members = [[c for c in cands if c & g] for g in groups]
+        bounds = [_packing([(c, 1) for c in m]) for m in members]
+        total = size + sum(bounds)
+        for g, m, lb in zip(groups, members, bounds):
+            total -= lb
+            if len(m) == 1:   # one requirement: any one of its items
+                sel |= g & -g
+                total += 1
+                continue
+            gsize, gmask, gnodes = _search(
+                [(c, 1) for c in m], None, g, best_size - total, True
+            )
+            nodes += gnodes
+            if gmask is None:
+                return
+            sel |= gmask
+            total += gsize
+        best_mask, best_size = sel, total
 
     dfs(0, 0, 0)
     return best_size, best_mask, nodes

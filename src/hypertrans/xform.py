@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hcore import FormatError, Hypergraph, class_check, hypergraph
+from .hcore import (
+    FormatError,
+    Hypergraph,
+    class_check,
+    header_counts,
+    hypergraph,
+)
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,7 @@ def graph_from_text(text: str) -> Graph:
     ]
     if not lines:
         raise FormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "g":
-        raise FormatError(f"bad header {lines[0]!r}, expected 'g <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError(f"non-integer counts in header {lines[0]!r}") from None
+    n, m = header_counts(lines[0], "g")
     if len(lines) - 1 != m:
         raise FormatError(f"header says {m} edges, found {len(lines) - 1}")
     edges = []

@@ -259,30 +259,41 @@ def _random_base(k, want_star, rng):
             return H
 
 
+# gamma_t search nodes summed over the 30 criterion-08 instances with
+# requirement dominance and the packing bound alone; item dominance and
+# component splitting must cut them at least tenfold.  Node counts do not
+# depend on the machine.
+C08_NODES_BEFORE_REDUCTIONS = 857_529
+
+
 def test_c08_family_tightness(capsys):
     rng = SplitMix64(808)
     bad = []
+    nodes = 0
     for i in range(20):
         k = (2, 3, 4)[i % 3]
         fam = family_Fk(_random_base(k, False, rng), k)
         H = fam.hypergraph
         want = 2 * H.n // (k + 1)
-        got = gamma_t(H).value
-        if got != want or 2 * H.n % (k + 1):
-            bad.append(("Fk", k, got, want))
+        res = gamma_t(H)
+        nodes += res.nodes
+        if res.value != want or 2 * H.n % (k + 1):
+            bad.append(("Fk", k, res.value, want))
     for i in range(10):
         k = (3, 4)[i % 2]
         fam = family_Fk_star(_random_base(k, True, rng), k)
         H = fam.hypergraph
         want = 2 * H.n // (k + 2)
-        got = gamma_t(H).value
-        if got != want or 2 * H.n % (k + 2):
-            bad.append(("Fk_star", k, got, want))
-    ok = not bad
+        res = gamma_t(H)
+        nodes += res.nodes
+        if res.value != want or 2 * H.n % (k + 2):
+            bad.append(("Fk_star", k, res.value, want))
+    ok = not bad and 10 * nodes <= C08_NODES_BEFORE_REDUCTIONS
     _verdict(capsys, 8, ok,
              f"family tightness: 20 expansion + 10 star-expansion instances, "
-             f"{len(bad)} off-target")
-    assert ok, bad
+             f"{len(bad)} off-target, {nodes} search nodes "
+             f"(at most {C08_NODES_BEFORE_REDUCTIONS // 10})")
+    assert ok, (bad, nodes)
 
 
 def test_c09_construction_guarantees(capsys, enum_pool, random_pool):

@@ -231,13 +231,22 @@ def test_construct_strong_all_formats(tmp_path, capsys):
     assert f"  expected_size_bound: {res['expected_size_bound']}" in lines
 
 
-def test_runtime_failure_is_exit_three(capsys):
+def test_runtime_failure_is_exit_three(tmp_path, capsys, monkeypatch):
     # one edge on three vertices always leaves a vertex isolated
     code, out, err = _run(capsys, ["gen", "--k", "2", "--n", "3", "--m", "1",
                                    "--seed", "1", "--require-class"])
     assert code == 3 and out == ""
     assert err.startswith("error: no in-class instance")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+    def exhausted(obj, invariant):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", exhausted)
+    f = tmp_path / "c5.hg"
+    f.write_text(C5)
+    code, out, err = _run(capsys, ["solve", str(f), "--invariant", "tau"])
+    assert code == 3 and out == "" and err == "error: out of memory\n"
 
 
 def test_jobs_validated(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hypertrans.hcore import (
+    MAX_HEADER_COUNT,
     FormatError,
     class_check,
     class_floor_check,
@@ -215,3 +216,6 @@ def test_parse_errors():
     ]:
         with pytest.raises(FormatError):
             from_text(bad)
+    # header counts are bounded before anything is built from them
+    with pytest.raises(FormatError, match="limit"):
+        from_text(f"hg {MAX_HEADER_COUNT + 1} 0\n")
