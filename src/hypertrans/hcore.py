@@ -191,14 +191,19 @@ def neighborhood(H: Hypergraph, v: int) -> set[int]:
 
 def neighborhood_masks(H: Hypergraph) -> list[int]:
     """Open neighborhoods of all vertices as bitmasks."""
-    nb = [0] * H.n
-    for mask in H.edge_masks():
+    return mask_neighborhoods(H.n, H.edge_masks())
+
+
+def mask_neighborhoods(n: int, masks) -> list[int]:
+    """Per item 0..n-1, the union of the masks that hold it, less the item."""
+    nb = [0] * n
+    for mask in masks:
         rest = mask
         while rest:
             b = rest & -rest
             rest ^= b
             nb[b.bit_length() - 1] |= mask
-    for v in range(H.n):
+    for v in range(n):
         nb[v] &= ~(1 << v)
     return nb
 

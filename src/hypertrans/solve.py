@@ -9,14 +9,26 @@ separate brute-force oracle checks the textbook definitions subset by subset.
 
 The core drops requirements implied by a tighter one, bounds each node by a
 packing of disjoint requirements and branches on the requirement with the
-fewest candidates.  tau, gamma and gamma_t are plain hitting sets (demand 1,
-no side constraint), and for them it does two things more.  At the root it
-drops every item that another item dominates (all of its requirements hold
-that item too), alternating with requirement dominance until neither changes
-anything.  At each node whose open requirements fall into groups that share
-no item, it solves every group by its own search, capped by the incumbent
-less what the other groups need, and adds the results.  A result's `nodes`
-counts the nodes of those group searches as well.
+fewest candidates.  At the root it also drops every item that kept items can
+stand in for.  tau, gamma and gamma_t are plain hitting sets (demand 1, no
+side constraint): there an item goes when another item lies in all of its
+requirements, alternating with requirement dominance until neither changes
+anything, and each node whose open requirements fall into groups that share
+no item solves every group by its own search, capped by the incumbent less
+what the other groups need, and adds the results.  A result's `nodes` counts
+the nodes of those group searches as well.
+
+The other three get a dominance rule of their own and a coverage bound at
+every node: the fewest free items whose open coverages add up to the open
+deficit.  tau_strong (demand 2) drops an item when two kept items lie in all
+of its requirements, alternating with requirement dominance as well.  tau_t
+and ec_t carry the side constraint, and two items see each other exactly
+when a requirement holds both: a vertex's neighbors are the union of its
+edges, an edge's the edges at either end.  That lets an item go when a kept
+item lies in all of its requirements and has a kept neighbor besides it, and
+it lets the bound charge half a unit to each pick that sees no selected
+item, since that pick needs another new pick in one of its open
+requirements.
 
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
@@ -26,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hcore import Hypergraph, neighborhood_masks
+from .hcore import Hypergraph, mask_neighborhoods, neighborhood_masks
 from .xform import Graph
 
 
@@ -50,13 +62,15 @@ def _bits(mask: int):
         yield b
 
 
-def _min_selection(nitems: int, reqs, adj):
+def _min_selection(nitems: int, reqs, total: bool = False):
     """Minimum item set with >= need items inside each requirement mask.
 
-    adj is None, or per-item neighbor masks (symmetric); when given, every
-    selected item must see another selected item.  Returns (size, mask,
-    nodes) or raises InfeasibleError.
+    With total set, every selected item must also see another selected item,
+    two items seeing each other when some requirement holds both (the side
+    constraint of tau_t and ec_t, whose requirements all have demand 1).
+    Returns (size, mask, nodes) or raises InfeasibleError.
     """
+    adj = mask_neighborhoods(nitems, [m for m, _ in reqs]) if total else None
     if adj is None:
         allowed = (1 << nitems) - 1
     else:
@@ -71,19 +85,27 @@ def _min_selection(nitems: int, reqs, adj):
                 f"requirement {bin(mask)} wants {need} usable items, "
                 f"only {(mask & allowed).bit_count()} exist"
             )
-    reqs = _drop_implied(reqs, allowed)
-    # hitting set (no side constraint, demand 1): an item whose requirements
-    # all hold some other kept item can be swapped for it, and a requirement
-    # lost that way can free further items
     hitting = adj is None and all(need == 1 for _, need in reqs)
-    while hitting:
-        allowed = _undominated(reqs)
-        if all(mask & ~allowed == 0 for mask, _ in reqs):
-            break                 # only items in no requirement were dropped
-        before = len(reqs)
+    if adj is not None:
+        # the adjacency is read off the requirements as given, and both the
+        # dominance test and the search's coverage bound rely on that, so
+        # the requirements stay unreduced
+        allowed = _thin(reqs, adj, allowed)
+    else:
+        # an item that others can stand in for goes, and a requirement lost
+        # that way can free further items
         reqs = _drop_implied(reqs, allowed)
-        if len(reqs) == before:   # same requirements, same item signatures
-            break
+        while True:
+            if hitting:
+                allowed = _undominated(reqs)
+            else:
+                allowed = _thin(reqs, None, allowed)
+            if all(mask & ~allowed == 0 for mask, _ in reqs):
+                break             # only items in no requirement were dropped
+            before = len(reqs)
+            reqs = _drop_implied(reqs, allowed)
+            if len(reqs) == before:   # same requirements, same item signatures
+                break
     greedy = _greedy(reqs, adj, allowed)
     size, mask, nodes = _search(reqs, adj, allowed, greedy.bit_count(), hitting)
     if mask is None:   # nothing beats the greedy selection
@@ -139,19 +161,57 @@ def _undominated(reqs) -> int:
     return kept
 
 
+def _thin(reqs, adj, allowed) -> int:
+    """allowed less the items that kept items stand in for, tested one at a
+    time from the highest index down, so that a tie keeps the lower index.
+
+    Without adj, item i goes when at least d other kept items lie in every
+    requirement holding i, d the largest demand of all: one of them missing
+    from a selection can take i's place, and with all of them in it, i is
+    spare.  With adj (demand 1, adj[i] the union of the requirements holding
+    i, less i), i goes when a kept j lies in every requirement holding i and
+    j has a kept neighbor other than i: j takes i's place, or j's neighbor
+    does when j is already selected, and every neighbor of i sees j.
+    """
+    common: dict[int, int] = {}   # item bit -> AND of its requirements
+    for mask, _ in reqs:
+        for b in _bits(mask & allowed):
+            common[b] = common.get(b, mask) & mask
+    demand = max((need for _, need in reqs), default=0)
+    kept = sum(common)   # distinct bits: the sum is their union
+    for b in sorted(common, reverse=True):
+        others = common[b] & kept & ~b
+        if not others:
+            continue
+        if adj is None:
+            if others.bit_count() >= demand:
+                kept ^= b
+            continue
+        for j in _bits(others):
+            if adj[j.bit_length() - 1] & kept & ~b:
+                kept ^= b
+                break
+    return kept
+
+
 def _greedy(reqs, adj, allowed) -> int:
     """Repeatedly pick the item in the most unmet requirements (lowest index
-    on ties), then give every lonely pick a neighbor."""
+    on ties), then give every lonely pick a neighbor.  Raises
+    InfeasibleError when no usable item is left to pick."""
     sel = 0
     while True:
         unmet = [mask for mask, need in reqs if (mask & sel).bit_count() < need]
         if not unmet:
             break
-        best_gain, best_item = 0, -1
+        best_gain, best_item = 0, 0
         for b in _bits(allowed & ~sel):
             gain = len([mask for mask in unmet if mask & b])
             if gain > best_gain:
                 best_gain, best_item = gain, b
+        if not best_item:
+            raise InfeasibleError(
+                f"requirement {bin(unmet[0])} has too few usable items"
+            )
         sel |= best_item
     if adj is not None:
         while True:
@@ -162,6 +222,10 @@ def _greedy(reqs, adj, allowed) -> int:
             if not lonely:
                 break
             cand = adj[lonely.bit_length() - 1] & allowed & ~sel
+            if not cand:
+                raise InfeasibleError(
+                    f"item {lonely.bit_length() - 1} has no usable neighbor"
+                )
             sel |= cand & -cand
     return sel
 
@@ -194,22 +258,32 @@ def _components(cands) -> list[int]:
     return groups
 
 
-def _search(reqs, adj, allowed, best_size, hitting):
+def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     """Depth-first branch and bound for a selection smaller than best_size.
 
     Returns (size, mask, nodes) of the smallest one, with mask None when none
-    exists.  For a hitting set (demand 1, no side constraint), a node whose
-    open requirements fall into groups that share no item searches each
-    group on its own and adds up the results.
+    exists.  Every node is bounded by a packing of disjoint requirements and,
+    unless the instance is a plain hitting set, by a coverage count.  For a
+    hitting set (demand 1, no side constraint), a node whose open
+    requirements fall into groups that share no item searches each group on
+    its own and adds up the results.  Such a group search is connected: its
+    requirements are the group's open ones, already bounded by the splitting
+    node, so it branches at its root at once.
     """
     best_mask = None
     nodes = 0
+    if not hitting:
+        holds = [0] * allowed.bit_length()   # item -> bits of its requirements
+        for r, (mask, _) in enumerate(reqs):
+            for b in _bits(mask & allowed):
+                holds[b.bit_length() - 1] |= 1 << r
 
     def dfs(sel: int, size: int, banned: int):
         nonlocal nodes, best_mask, best_size
         nodes += 1
         active = []   # (candidates, deficit), cover constraints first
-        for mask, need in reqs:
+        opened = 0    # bits of the requirements with a deficit
+        for r, (mask, need) in enumerate(reqs):
             d = need - (mask & sel).bit_count()
             if d <= 0:
                 continue
@@ -217,6 +291,8 @@ def _search(reqs, adj, allowed, best_size, hitting):
             if cand.bit_count() < d:
                 return
             active.append((cand, d))
+            opened |= 1 << r
+        lonely = 0
         if adj is not None:
             for b in _bits(sel):
                 if adj[b.bit_length() - 1] & sel:
@@ -225,6 +301,7 @@ def _search(reqs, adj, allowed, best_size, hitting):
                 if not cand:
                     return
                 active.append((cand, 1))
+                lonely |= b
         if not active:
             best_mask, best_size = sel, size
             return
@@ -236,6 +313,29 @@ def _search(reqs, adj, allowed, best_size, hitting):
             if len(groups) > 1:
                 split(sel, size, cands, groups)
                 return
+        else:
+            # A new pick meets at most the open requirements holding it,
+            # lonely picks' ones included.  Under the side constraint, a pick
+            # that sees no selected item needs another new pick beside it in
+            # a requirement open by that very fact, so it meets half a unit
+            # less.  Scores are doubled to stay integral.
+            scores = []
+            for b in _bits(allowed & ~banned & ~sel):
+                i = b.bit_length() - 1
+                score = 2 * (holds[i] & opened).bit_count()
+                if adj is not None:
+                    score += 2 * (adj[i] & lonely).bit_count()
+                    if not adj[i] & sel:
+                        score -= 1
+                if score > 0:
+                    scores.append(score)
+            scores.sort(reverse=True)
+            deficit = sum(d for _, d in active)
+            if sum(scores[:best_size - size - 1]) < 2 * deficit:
+                return
+        branch(sel, size, banned, active)
+
+    def branch(sel: int, size: int, banned: int, active):
         cand, d = min(active, key=lambda a: a[0].bit_count())
         out = banned
         rest = cand
@@ -252,7 +352,9 @@ def _search(reqs, adj, allowed, best_size, hitting):
         # each group may use the incumbent minus what the others need at
         # least: their exact value once solved, their packing bound until
         # then.  The bounds add up to the node's own packing bound, which
-        # the caller has already checked against the incumbent.
+        # the caller has already checked against the incumbent, and each
+        # group search stays below its cap, so no group's own root bound
+        # can prune.
         nonlocal nodes, best_mask, best_size
         members = [[c for c in cands if c & g] for g in groups]
         bounds = [_packing([(c, 1) for c in m]) for m in members]
@@ -264,7 +366,7 @@ def _search(reqs, adj, allowed, best_size, hitting):
                 total += 1
                 continue
             gsize, gmask, gnodes = _search(
-                [(c, 1) for c in m], None, g, best_size - total, True
+                [(c, 1) for c in m], None, g, best_size - total, True, True
             )
             nodes += gnodes
             if gmask is None:
@@ -273,7 +375,10 @@ def _search(reqs, adj, allowed, best_size, hitting):
             total += gsize
         best_mask, best_size = sel, total
 
-    dfs(0, 0, 0)
+    if connected:
+        branch(0, 0, 0, reqs)
+    else:
+        dfs(0, 0, 0)
     return best_size, best_mask, nodes
 
 
@@ -356,22 +461,18 @@ def _finish(invariant, H_or_G, size, mask, nodes, to_witness):
 
 
 def tau(H: Hypergraph) -> SolveResult:
-    size, mask, nodes = _min_selection(
-        H.n, [(m, 1) for m in H.edge_masks()], None
-    )
+    size, mask, nodes = _min_selection(H.n, [(m, 1) for m in H.edge_masks()])
     return _finish("tau", H, size, mask, nodes, _vertices)
 
 
 def tau_strong(H: Hypergraph) -> SolveResult:
-    size, mask, nodes = _min_selection(
-        H.n, [(m, 2) for m in H.edge_masks()], None
-    )
+    size, mask, nodes = _min_selection(H.n, [(m, 2) for m in H.edge_masks()])
     return _finish("tau_strong", H, size, mask, nodes, _vertices)
 
 
 def tau_t(H: Hypergraph) -> SolveResult:
     size, mask, nodes = _min_selection(
-        H.n, [(m, 1) for m in H.edge_masks()], neighborhood_masks(H)
+        H.n, [(m, 1) for m in H.edge_masks()], total=True
     )
     return _finish("tau_t", H, size, mask, nodes, _vertices)
 
@@ -379,7 +480,7 @@ def tau_t(H: Hypergraph) -> SolveResult:
 def gamma(H: Hypergraph) -> SolveResult:
     nb = neighborhood_masks(H)
     reqs = [(nb[v] | (1 << v), 1) for v in range(H.n)]
-    size, mask, nodes = _min_selection(H.n, reqs, None)
+    size, mask, nodes = _min_selection(H.n, reqs)
     return _finish("gamma", H, size, mask, nodes, _vertices)
 
 
@@ -390,7 +491,7 @@ def gamma_t(H: Hypergraph) -> SolveResult:
     for v in range(H.n):
         if nb[v] == 0:
             raise InfeasibleError(f"vertex {v} is isolated, nothing can dominate it")
-    size, mask, nodes = _min_selection(H.n, [(m, 1) for m in nb], None)
+    size, mask, nodes = _min_selection(H.n, [(m, 1) for m in nb])
     return _finish("gamma_t", H, size, mask, nodes, _vertices)
 
 
@@ -400,20 +501,18 @@ def ec_t(G: Graph) -> SolveResult:
     for v in range(G.n):
         if deg[v] == 0:
             raise InfeasibleError(f"vertex {v} is isolated, no edge covers it")
+    for e in G.edges:
+        if deg[e[0]] == deg[e[1]] == 1:
+            raise InfeasibleError(
+                f"edge {e} is its own component, it would stay isolated"
+            )
     incident = [0] * G.n
     for i, (u, v) in enumerate(G.edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
-    adj = [
-        (incident[u] | incident[v]) & ~(1 << i)
-        for i, (u, v) in enumerate(G.edges)
-    ]
-    for i in range(G.m):
-        if adj[i] == 0:
-            raise InfeasibleError(
-                f"edge {G.edges[i]} is its own component, it would stay isolated"
-            )
-    size, mask, nodes = _min_selection(G.m, [(m, 1) for m in incident], adj)
+    size, mask, nodes = _min_selection(
+        G.m, [(m, 1) for m in incident], total=True
+    )
     return _finish(
         "ec_t", G, size, mask, nodes,
         lambda m: tuple(G.edges[b.bit_length() - 1] for b in _bits(m)),

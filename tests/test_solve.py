@@ -5,6 +5,8 @@ import pytest
 from hypertrans.hcore import class_check, hypergraph
 from hypertrans.solve import (
     InfeasibleError,
+    _greedy,
+    _min_selection,
     brute_force_oracle,
     ec_t,
     gamma,
@@ -164,6 +166,7 @@ _DEFINITIONS = {
     "tau_strong": is_strong_transversal,
     "gamma": is_dominating,
     "gamma_t": is_total_dominating,
+    "ec_t": is_total_edge_cover,
 }
 
 
@@ -188,6 +191,62 @@ _DEEP_SPLITS = (
 )
 
 
+def _leafy_graph(rng, n):
+    """Mostly a random forest (each vertex hangs off an earlier one), plus up
+    to two extra edges: leaves, pendant paths and single-edge components."""
+    edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.85}
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in edges]
+    edges.update(rng.sample(pool, min(len(pool), rng.randint(0, 2))))
+    return graph(n, sorted(edges))
+
+
+def _pendant_hypergraph(rng, k, core, m):
+    """k-uniform: m edges on a few shared core vertices, each filled up with
+    fresh vertices of degree 1."""
+    edges, n = [], core
+    for _ in range(m):
+        fresh = rng.randint(0, k - 1)
+        edges.append(rng.sample(range(core), k - fresh)
+                     + list(range(n, n + fresh)))
+        n += fresh
+    return hypergraph(n, edges)
+
+
+def _cubic_graph(rng, n):
+    """Random 3-regular graph by the pairing model with rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return graph(n, sorted(pairs))
+
+
+def _side_and_demand_cases():
+    """(instance, invariants, oracle cap) for tau_t, tau_strong and ec_t:
+    2-uniform components that are single edges or full of leaves, degree-1
+    vertices in 3- and 4-uniform instances, graphs with pendant vertices
+    (whose one-edge requirement nests inside the neighbor's), and cubic
+    graphs, where the coverage bound is tight."""
+    rng = random.Random(5150)
+    single = graph(2, [(0, 1)])
+    for _ in range(40):
+        G = _leafy_graph(rng, rng.randint(3, 11))
+        yield G, ("ec_t",), 24
+        yield G.to_hypergraph(), ("tau_t", "tau_strong"), 24
+        yield (_disjoint_union(single.to_hypergraph(), G.to_hypergraph()),
+               ("tau_t", "tau_strong"), 24)
+    for _ in range(40):
+        k = rng.choice((3, 4))
+        H = _pendant_hypergraph(rng, k, rng.randint(k, 7), rng.randint(2, 5))
+        yield H, ("tau_t", "tau_strong"), 24
+    for n in (4, 6, 6, 8, 8, 8):
+        G = _cubic_graph(rng, n)
+        yield G, ("ec_t",), 24
+        yield G.to_hypergraph(), ("tau_t", "tau_strong"), 24
+
+
 def _reduction_cases():
     """(instance, invariants, oracle cap): disjoint unions split at the root,
     twins and nested edges trigger dominance, and the pendant gadgets of the
@@ -209,22 +268,57 @@ def _reduction_cases():
     # (10 of them) is beyond exhaustion, criterion 08 checks its closed form
     yield (family_Fk_star(_family_base(rng, 3, 5, True), 3).hypergraph,
            ("tau", "gamma"), 25)
+    yield from _side_and_demand_cases()
 
 
 def test_reductions_and_splitting_match_oracle():
     """tau, gamma and gamma_t use item dominance and component splitting;
-    tau_t and tau_strong must stay exact without them."""
-    for H, invariants, cap in _reduction_cases():
+    tau_strong drops items at demand 2, tau_t and ec_t under the side
+    constraint, and those three bound every node by coverage."""
+    for obj, invariants, cap in _reduction_cases():
         for inv in invariants:
             try:
-                got = solve(H, inv)
+                got = solve(obj, inv)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    brute_force_oracle(H, inv, cap)
+                    brute_force_oracle(obj, inv, cap)
                 continue
-            assert got.value == brute_force_oracle(H, inv, cap).value, (inv, H)
+            want = brute_force_oracle(obj, inv, cap).value
+            assert got.value == want, (inv, obj)
             assert len(got.witness) == got.value
-            assert _DEFINITIONS[inv](H, got.witness), (inv, H, got.witness)
+            assert _DEFINITIONS[inv](obj, got.witness), (inv, obj, got.witness)
+
+
+def test_greedy_raises_when_nothing_can_be_picked():
+    # three items wanted where two exist
+    with pytest.raises(InfeasibleError):
+        _greedy([(0b11, 3)], None, 0b11)
+    with pytest.raises(InfeasibleError):
+        _min_selection(2, [(0b11, 3)])
+    # the single edge {0, 1} under the side constraint with item 0 dropped,
+    # as dominance without its neighbor guard would: 1 is left alone
+    with pytest.raises(InfeasibleError):
+        _greedy([(0b11, 1)], [0b10, 0b01], 0b10)
+    assert _min_selection(2, [(0b11, 1)], total=True)[:2] == (2, 0b11)
+
+
+# tau_t search nodes on the ladder random_hypergraph(3, n, m, 7,
+# require_class=True) for (n, m) = (58, 50), (69, 60), (83, 70) without the
+# side-constraint dominance and the coverage bound: 43,322 + 21,360 +
+# 141,583.  They must cut it at least tenfold.  Node counts do not depend on
+# the machine.
+TAU_T_LADDER_NODES_BEFORE = 206_265
+
+
+def test_tau_t_ladder_nodes():
+    nodes = 0
+    for (n, m), want in zip(((58, 50), (69, 60), (83, 70)), (19, 19, 24)):
+        H = random_hypergraph(3, n, m, 7, require_class=True)
+        got = tau_t(H)
+        assert got.value == want == len(got.witness)
+        assert is_total_transversal(H, got.witness)
+        nodes += got.nodes
+    assert nodes <= TAU_T_LADDER_NODES_BEFORE // 10, nodes
 
 
 def test_chain_tau_le_taut_le_taustrong():
