@@ -85,21 +85,19 @@ def _min_selection(nitems: int, reqs, total: bool = False):
                 f"requirement {bin(mask)} wants {need} usable items, "
                 f"only {(mask & allowed).bit_count()} exist"
             )
-    hitting = adj is None and all(need == 1 for _, need in reqs)
+    demand = max((need for _, need in reqs), default=1)
+    hitting = adj is None and demand == 1
     if adj is not None:
         # the adjacency is read off the requirements as given, and both the
         # dominance test and the search's coverage bound rely on that, so
         # the requirements stay unreduced
-        allowed = _thin(reqs, adj, allowed)
+        allowed = _thin(reqs, adj, allowed, demand)
     else:
         # an item that others can stand in for goes, and a requirement lost
         # that way can free further items
         reqs = _drop_implied(reqs, allowed)
         while True:
-            if hitting:
-                allowed = _undominated(reqs)
-            else:
-                allowed = _thin(reqs, None, allowed)
+            allowed = _thin(reqs, None, allowed, demand)
             if all(mask & ~allowed == 0 for mask, _ in reqs):
                 break             # only items in no requirement were dropped
             before = len(reqs)
@@ -133,51 +131,27 @@ def _drop_implied(reqs, allowed):
     return kept
 
 
-def _undominated(reqs) -> int:
-    """Items of a demand-1 hitting set that no other item dominates.
+def _thin(reqs, adj, allowed, demand) -> int:
+    """allowed less the items that kept items stand in for, tested one at a
+    time from the highest index down, so that a tie keeps the lower index.
 
-    j dominates i when every requirement holding i also holds j; between
-    equal signatures the lower index survives.  The relation is a strict
-    order, so every dropped item has an undominated dominator and some
-    minimum selection uses undominated items only.
+    Without adj, item i goes when at least `demand` other kept items, that
+    many as the largest demand of all, lie in every requirement holding i:
+    one of them missing from a selection can take i's place, and with all of
+    them in it, i is spare.  At demand 1 this keeps exactly the items no
+    other item dominates, the lowest index of each equal signature.  With
+    adj (demand 1, adj[i] the union of the requirements holding i, less i),
+    i goes when a kept j lies in every requirement holding i and j has a
+    kept neighbor other than i: j takes i's place, or j's neighbor does when
+    j is already selected, and every neighbor of i sees j.
     """
     common: dict[int, int] = {}   # item bit -> AND of its requirements
     for mask, _ in reqs:
-        rest = mask
+        rest = mask & allowed   # inline, not _bits: this loop is hot
         while rest:
             b = rest & -rest
             rest ^= b
             common[b] = common.get(b, mask) & mask
-    kept = 0
-    for b, others in common.items():
-        # others are in every requirement of b; one dominates b if it has a
-        # lower index, or if one of its requirements lacks b
-        others ^= b
-        if others and (others & (b - 1) or any(
-            not common[j] & b for j in _bits(others)
-        )):
-            continue
-        kept |= b
-    return kept
-
-
-def _thin(reqs, adj, allowed) -> int:
-    """allowed less the items that kept items stand in for, tested one at a
-    time from the highest index down, so that a tie keeps the lower index.
-
-    Without adj, item i goes when at least d other kept items lie in every
-    requirement holding i, d the largest demand of all: one of them missing
-    from a selection can take i's place, and with all of them in it, i is
-    spare.  With adj (demand 1, adj[i] the union of the requirements holding
-    i, less i), i goes when a kept j lies in every requirement holding i and
-    j has a kept neighbor other than i: j takes i's place, or j's neighbor
-    does when j is already selected, and every neighbor of i sees j.
-    """
-    common: dict[int, int] = {}   # item bit -> AND of its requirements
-    for mask, _ in reqs:
-        for b in _bits(mask & allowed):
-            common[b] = common.get(b, mask) & mask
-    demand = max((need for _, need in reqs), default=0)
     kept = sum(common)   # distinct bits: the sum is their union
     for b in sorted(common, reverse=True):
         others = common[b] & kept & ~b
@@ -267,8 +241,9 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     hitting set (demand 1, no side constraint), a node whose open
     requirements fall into groups that share no item searches each group on
     its own and adds up the results.  Such a group search is connected: its
-    requirements are the group's open ones, already bounded by the splitting
-    node, so it branches at its root at once.
+    requirements are the group's open ones, whose packing bound the
+    splitting node has already kept below the group's cap, so it branches
+    at its root at once.
     """
     best_mask = None
     nodes = 0
@@ -351,10 +326,11 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     def split(sel: int, size: int, cands, groups):
         # each group may use the incumbent minus what the others need at
         # least: their exact value once solved, their packing bound until
-        # then.  The bounds add up to the node's own packing bound, which
-        # the caller has already checked against the incumbent, and each
-        # group search stays below its cap, so no group's own root bound
-        # can prune.
+        # then.  The groups' bounds add up to the node's own packing bound,
+        # which the caller found below the incumbent, so total starts below
+        # it; a group search returns less than its cap, so total stays below
+        # it after each group.  Hence every group's bound is below its cap,
+        # and a group's own root packing check could never prune.
         nonlocal nodes, best_mask, best_size
         members = [[c for c in cands if c & g] for g in groups]
         bounds = [_packing([(c, 1) for c in m]) for m in members]
