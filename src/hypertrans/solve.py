@@ -253,26 +253,30 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             for b in _bits(mask & allowed):
                 holds[b.bit_length() - 1] |= 1 << r
 
-    def dfs(sel: int, size: int, banned: int):
+    def dfs(sel: int, size: int, banned: int, was_open):
         nonlocal nodes, best_mask, best_size
         nodes += 1
-        active = []   # (candidates, deficit), cover constraints first
-        opened = 0    # bits of the requirements with a deficit
-        for r, (mask, need) in enumerate(reqs):
+        free = allowed & ~banned & ~sel
+        active = []    # (candidates, deficit), cover constraints first
+        still = []     # was_open's entries that are still open, for children
+        opened = 0     # bits of the requirements with a deficit
+        for req in was_open:   # sel only grows: a closed one stays closed
+            _, mask, need = req
             d = need - (mask & sel).bit_count()
             if d <= 0:
                 continue
-            cand = mask & allowed & ~banned & ~sel
+            cand = mask & free
             if cand.bit_count() < d:
                 return
             active.append((cand, d))
-            opened |= 1 << r
+            still.append(req)
+            opened |= req[0]
         lonely = 0
         if adj is not None:
             for b in _bits(sel):
                 if adj[b.bit_length() - 1] & sel:
                     continue
-                cand = adj[b.bit_length() - 1] & allowed & ~banned & ~sel
+                cand = adj[b.bit_length() - 1] & free
                 if not cand:
                     return
                 active.append((cand, 1))
@@ -295,7 +299,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             # a requirement open by that very fact, so it meets half a unit
             # less.  Scores are doubled to stay integral.
             scores = []
-            for b in _bits(allowed & ~banned & ~sel):
+            for b in _bits(free):
                 i = b.bit_length() - 1
                 score = 2 * (holds[i] & opened).bit_count()
                 if adj is not None:
@@ -308,15 +312,15 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             deficit = sum(d for _, d in active)
             if sum(scores[:best_size - size - 1]) < 2 * deficit:
                 return
-        branch(sel, size, banned, active)
+        branch(sel, size, banned, active, still)
 
-    def branch(sel: int, size: int, banned: int, active):
+    def branch(sel: int, size: int, banned: int, active, still):
         cand, d = min(active, key=lambda a: a[0].bit_count())
         out = banned
         rest = cand
         for b in _bits(cand):
             rest ^= b
-            dfs(sel | b, size + 1, out)
+            dfs(sel | b, size + 1, out, still)
             if size + 1 >= best_size:   # every later branch is at least as big
                 return
             out |= b
@@ -351,10 +355,11 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             total += gsize
         best_mask, best_size = sel, total
 
+    every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
     if connected:
-        branch(0, 0, 0, reqs)
+        branch(0, 0, 0, reqs, every)
     else:
-        dfs(0, 0, 0)
+        dfs(0, 0, 0, every)
     return best_size, best_mask, nodes
 
 
