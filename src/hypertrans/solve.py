@@ -247,11 +247,16 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     """
     best_mask = None
     nodes = 0
-    if not hitting:
-        holds = [0] * allowed.bit_length()   # item -> bits of its requirements
-        for r, (mask, _) in enumerate(reqs):
-            for b in _bits(mask & allowed):
-                holds[b.bit_length() - 1] |= 1 << r
+    holds = [0] * allowed.bit_length()   # item -> bits of its requirements
+    every = []                           # (bit, mask, need) per requirement
+    for r, (mask, need) in enumerate(reqs):
+        bit = 1 << r
+        every.append((bit, mask, need))
+        rest = mask & allowed   # inline, not _bits: this loop is hot
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            holds[b.bit_length() - 1] |= bit
 
     def dfs(sel: int, size: int, banned: int, was_open):
         nonlocal nodes, best_mask, best_size
@@ -261,7 +266,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         still = []     # was_open's entries that are still open, for children
         opened = 0     # bits of the requirements with a deficit
         for req in was_open:   # sel only grows: a closed one stays closed
-            _, mask, need = req
+            bit, mask, need = req
             d = need - (mask & sel).bit_count()
             if d <= 0:
                 continue
@@ -270,7 +275,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
                 return
             active.append((cand, d))
             still.append(req)
-            opened |= req[0]
+            opened |= bit
         lonely = 0
         if adj is not None:
             for b in _bits(sel):
@@ -312,13 +317,19 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             deficit = sum(d for _, d in active)
             if sum(scores[:best_size - size - 1]) < 2 * deficit:
                 return
-        branch(sel, size, banned, active, still)
+        branch(sel, size, banned, active, still, opened)
 
-    def branch(sel: int, size: int, banned: int, active, still):
+    def branch(sel: int, size: int, banned: int, active, still, opened):
         cand, d = min(active, key=lambda a: a[0].bit_count())
+        picks = _bits(cand)
+        if cand.bit_count() > d:   # else only the first pick is ever tried
+            # most open requirements first, the lower index on ties
+            picks = sorted(
+                picks, key=lambda b: -(holds[b.bit_length() - 1] & opened).bit_count()
+            )
         out = banned
         rest = cand
-        for b in _bits(cand):
+        for b in picks:
             rest ^= b
             dfs(sel | b, size + 1, out, still)
             if size + 1 >= best_size:   # every later branch is at least as big
@@ -355,9 +366,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             total += gsize
         best_mask, best_size = sel, total
 
-    every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
     if connected:
-        branch(0, 0, 0, reqs, every)
+        branch(0, 0, 0, reqs, every, (1 << len(reqs)) - 1)
     else:
         dfs(0, 0, 0, every)
     return best_size, best_mask, nodes
