@@ -1,0 +1,8 @@
+"""`python -m hypertrans`: the `hypertrans` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

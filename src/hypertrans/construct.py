@@ -14,7 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hcore import Hypergraph, class_check, components, delete_vertices, induced
+from .hcore import (
+    Hypergraph, bit_indices, class_check, components, delete_vertices, induced,
+)
 from .solve import (
     is_strong_transversal,
     is_total_edge_cover,
@@ -353,10 +355,10 @@ def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
 
     def options(v: int, mask: int):
         # P3s through v inside mask, canonical order: v as endpoint, then center
-        for c in _bit_indices(nbr[v] & mask):
-            for b in _bit_indices(nbr[c] & mask & ~(1 << v)):
+        for c in bit_indices(nbr[v] & mask):
+            for b in bit_indices(nbr[c] & mask & ~(1 << v)):
                 yield (v, c, b) if v < b else (b, c, v)
-        ends = list(_bit_indices(nbr[v] & mask))
+        ends = list(bit_indices(nbr[v] & mask))
         for i in range(len(ends)):
             for j in range(i + 1, len(ends)):
                 yield (ends[i], v, ends[j])
@@ -388,13 +390,6 @@ def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
                 mask &= ~_mask3(a, c, b)
                 break
     return out
-
-
-def _bit_indices(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
 
 
 def _mask3(a: int, c: int, b: int) -> int:
@@ -494,7 +489,7 @@ def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
     """
     _, p = _strong_params(H, c)
     x1, x2, x3 = _strong_parts(H.edge_masks(), H.n, p, SplitMix64(seed))
-    out = tuple(_bit_indices(x1 | x2 | x3))
+    out = tuple(bit_indices(x1 | x2 | x3))
     if not is_strong_transversal(H, out):
         raise RuntimeError("construction produced an invalid strong transversal")
     return out

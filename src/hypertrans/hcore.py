@@ -74,6 +74,14 @@ def _mask(vertices) -> int:
     return m
 
 
+def bit_indices(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        yield b.bit_length() - 1
+
+
 def hypergraph(n, edges, labels=None, allow_singletons=False) -> Hypergraph:
     """Validated constructor; canonicalizes edges and collapses duplicates.
 

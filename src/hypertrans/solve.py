@@ -9,8 +9,10 @@ separate brute-force oracle checks the textbook definitions subset by subset.
 
 The core drops requirements implied by a tighter one, bounds each node by a
 packing of disjoint requirements and branches on the requirement with the
-fewest candidates.  At the root it also drops every item that kept items can
-stand in for.  tau, gamma and gamma_t are plain hitting sets (demand 1, no
+fewest candidates, trying first the candidate that lies in the most open
+requirements (the lower index on ties).  A node looks only at the
+requirements still open at its parent, since a selection only grows.  At the
+root it also drops every item that kept items can stand in for.  tau, gamma and gamma_t are plain hitting sets (demand 1, no
 side constraint): there an item goes when another item lies in all of its
 requirements, alternating with requirement dominance until neither changes
 anything, and each node whose open requirements fall into groups that share
@@ -38,7 +40,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hcore import Hypergraph, mask_neighborhoods, neighborhood_masks
+from .hcore import (
+    Hypergraph, bit_indices, mask_neighborhoods, neighborhood_masks,
+)
 from .xform import Graph
 
 
@@ -244,6 +248,14 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     requirements are the group's open ones, whose packing bound the
     splitting node has already kept below the group's cap, so it branches
     at its root at once.
+
+    A node gets its parent's open requirements as (bit, mask, need) and
+    hands the ones it leaves open to its children.  It branches on the open
+    requirement with the fewest candidates and tries them in decreasing
+    order of how many open requirements hold them, the lower index first on
+    ties (a connected root counts all of its requirements as open).  Every
+    order is complete: each tried candidate is banned from later siblings,
+    which only have to cover the requirement without it.
     """
     best_mask = None
     nodes = 0
@@ -325,7 +337,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         if cand.bit_count() > d:   # else only the first pick is ever tried
             # most open requirements first, the lower index on ties
             picks = sorted(
-                picks, key=lambda b: -(holds[b.bit_length() - 1] & opened).bit_count()
+                picks, reverse=True,
+                key=lambda b: (holds[b.bit_length() - 1] & opened).bit_count(),
             )
         out = banned
         rest = cand
@@ -371,10 +384,6 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     else:
         dfs(0, 0, 0, every)
     return best_size, best_mask, nodes
-
-
-def _vertices(mask: int) -> tuple[int, ...]:
-    return tuple(b.bit_length() - 1 for b in _bits(mask))
 
 
 # definitional predicates: deliberately set-based and encoding-free, used to
@@ -442,8 +451,10 @@ _PREDICATES = {
 }
 
 
-def _finish(invariant, H_or_G, size, mask, nodes, to_witness):
-    witness = to_witness(mask)
+def _finish(invariant, H_or_G, size, mask, nodes):
+    witness = tuple(bit_indices(mask))   # vertices, or edge indices for ec_t
+    if invariant == "ec_t":
+        witness = tuple(H_or_G.edges[i] for i in witness)
     if not _PREDICATES[invariant](H_or_G, witness):
         raise RuntimeError(
             f"solver produced an invalid {invariant} witness {witness}"
@@ -453,26 +464,26 @@ def _finish(invariant, H_or_G, size, mask, nodes, to_witness):
 
 def tau(H: Hypergraph) -> SolveResult:
     size, mask, nodes = _min_selection(H.n, [(m, 1) for m in H.edge_masks()])
-    return _finish("tau", H, size, mask, nodes, _vertices)
+    return _finish("tau", H, size, mask, nodes)
 
 
 def tau_strong(H: Hypergraph) -> SolveResult:
     size, mask, nodes = _min_selection(H.n, [(m, 2) for m in H.edge_masks()])
-    return _finish("tau_strong", H, size, mask, nodes, _vertices)
+    return _finish("tau_strong", H, size, mask, nodes)
 
 
 def tau_t(H: Hypergraph) -> SolveResult:
     size, mask, nodes = _min_selection(
         H.n, [(m, 1) for m in H.edge_masks()], total=True
     )
-    return _finish("tau_t", H, size, mask, nodes, _vertices)
+    return _finish("tau_t", H, size, mask, nodes)
 
 
 def gamma(H: Hypergraph) -> SolveResult:
     nb = neighborhood_masks(H)
     reqs = [(nb[v] | (1 << v), 1) for v in range(H.n)]
     size, mask, nodes = _min_selection(H.n, reqs)
-    return _finish("gamma", H, size, mask, nodes, _vertices)
+    return _finish("gamma", H, size, mask, nodes)
 
 
 def gamma_t(H: Hypergraph) -> SolveResult:
@@ -483,7 +494,7 @@ def gamma_t(H: Hypergraph) -> SolveResult:
         if nb[v] == 0:
             raise InfeasibleError(f"vertex {v} is isolated, nothing can dominate it")
     size, mask, nodes = _min_selection(H.n, [(m, 1) for m in nb])
-    return _finish("gamma_t", H, size, mask, nodes, _vertices)
+    return _finish("gamma_t", H, size, mask, nodes)
 
 
 def ec_t(G: Graph) -> SolveResult:
@@ -504,10 +515,7 @@ def ec_t(G: Graph) -> SolveResult:
     size, mask, nodes = _min_selection(
         G.m, [(m, 1) for m in incident], total=True
     )
-    return _finish(
-        "ec_t", G, size, mask, nodes,
-        lambda m: tuple(G.edges[b.bit_length() - 1] for b in _bits(m)),
-    )
+    return _finish("ec_t", G, size, mask, nodes)
 
 
 _SOLVERS = {

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypertrans import cli
 from hypertrans.cli import main
@@ -267,3 +271,14 @@ def test_jobs_validated(tmp_path, capsys, monkeypatch):
         assert results[0] == results[1]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert cli._workers(2) == 1
+
+
+def test_python_dash_m_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "hypertrans", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: hypertrans")

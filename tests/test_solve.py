@@ -321,6 +321,24 @@ def test_tau_t_ladder_nodes():
     assert nodes <= TAU_T_LADDER_NODES_BEFORE // 10, nodes
 
 
+# tau_strong search nodes on random_hypergraph(4, 40, 40, s,
+# require_class=True) for s = 0..9 while candidates were tried in index
+# order: 44,398.  Trying the candidate in the most open requirements first
+# must cut at least 30% of them.
+TAU_STRONG_NODES_BEFORE = 44_398
+
+
+def test_tau_strong_nodes():
+    nodes = 0
+    for s, want in enumerate((18, 19, 18, 19, 18, 18, 18, 14, 20, 17)):
+        H = random_hypergraph(4, 40, 40, s, require_class=True)
+        got = tau_strong(H)
+        assert got.value == want == len(got.witness)
+        assert is_strong_transversal(H, got.witness)
+        nodes += got.nodes
+    assert nodes <= TAU_STRONG_NODES_BEFORE * 7 // 10, nodes
+
+
 def test_chain_tau_le_taut_le_taustrong():
     rng = random.Random(77)
     for _ in range(50):
