@@ -11,14 +11,15 @@ The core drops requirements implied by a tighter one, bounds each node by a
 packing of disjoint requirements and branches on the requirement with the
 fewest candidates, trying first the candidate that lies in the most open
 requirements (the lower index on ties).  A node looks only at the
-requirements still open at its parent, since a selection only grows.  At the
-root it also drops every item that kept items can stand in for.  tau, gamma and gamma_t are plain hitting sets (demand 1, no
-side constraint): there an item goes when another item lies in all of its
-requirements, alternating with requirement dominance until neither changes
-anything, and each node whose open requirements fall into groups that share
-no item solves every group by its own search, capped by the incumbent less
-what the other groups need, and adds the results.  A result's `nodes` counts
-the nodes of those group searches as well.
+requirements still open at its parent, since a selection only grows.  At
+the root it also drops every item that kept items can stand in for.  tau,
+gamma and gamma_t are plain hitting sets (demand 1, no side constraint):
+there an item goes when another item lies in all of its requirements,
+alternating with requirement dominance until neither changes anything, and
+each node whose open requirements fall into groups that share no item
+solves every group by its own search, capped by the incumbent less what the
+other groups need, and adds the results.  A result's `nodes` counts the
+nodes of those group searches as well.
 
 The other three get a dominance rule of their own and a coverage bound at
 every node: the fewest free items whose open coverages add up to the open
