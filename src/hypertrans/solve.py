@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .hcore import (
     Hypergraph, bit_indices, mask_neighborhoods, neighborhood_masks,
@@ -209,11 +210,15 @@ def _greedy(reqs, adj, allowed) -> int:
     return sel
 
 
+_COUNT = itemgetter(0)   # key of an active entry: its candidate count
+
+
 def _packing(active) -> int:
-    """Disjoint requirements need disjoint picks: a matching lower bound."""
+    """Disjoint requirements need disjoint picks: a matching lower bound over
+    active entries (candidate count, candidates, deficit)."""
     lb = 0
     used = 0
-    for cand, d in sorted(active, key=lambda a: a[0].bit_count()):
+    for _, cand, d in sorted(active, key=_COUNT):
         if cand & used == 0:
             lb += d
             used |= cand
@@ -275,7 +280,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         nonlocal nodes, best_mask, best_size
         nodes += 1
         free = allowed & ~banned & ~sel
-        active = []    # (candidates, deficit), cover constraints first
+        active = []    # (count, candidates, deficit), cover constraints first
         still = []     # was_open's entries that are still open, for children
         opened = 0     # bits of the requirements with a deficit
         for req in was_open:   # sel only grows: a closed one stays closed
@@ -284,9 +289,10 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             if d <= 0:
                 continue
             cand = mask & free
-            if cand.bit_count() < d:
+            count = cand.bit_count()
+            if count < d:
                 return
-            active.append((cand, d))
+            active.append((count, cand, d))
             still.append(req)
             opened |= bit
         lonely = 0
@@ -297,18 +303,23 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
                 cand = adj[b.bit_length() - 1] & free
                 if not cand:
                     return
-                active.append((cand, 1))
+                active.append((cand.bit_count(), cand, 1))
                 lonely |= b
         if not active:
             best_mask, best_size = sel, size
             return
-        if size + _packing(active) >= best_size:
+        bound = size   # plus the packing bound, inline: this loop is hot
+        used = 0
+        for _, cand, d in sorted(active, key=_COUNT):
+            if cand & used == 0:
+                bound += d
+                used |= cand
+        if bound >= best_size:
             return
         if hitting:
-            cands = [c for c, _ in active]
-            groups = _components(cands)
+            groups = _components([c for _, c, _ in active])
             if len(groups) > 1:
-                split(sel, size, cands, groups)
+                split(sel, size, active, groups)
                 return
         else:
             # A new pick meets at most the open requirements holding it,
@@ -317,7 +328,10 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             # a requirement open by that very fact, so it meets half a unit
             # less.  Scores are doubled to stay integral.
             scores = []
-            for b in _bits(free):
+            rest = free   # inline, not _bits: this loop is hot
+            while rest:
+                b = rest & -rest
+                rest ^= b
                 i = b.bit_length() - 1
                 score = 2 * (holds[i] & opened).bit_count()
                 if adj is not None:
@@ -327,32 +341,31 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
                 if score > 0:
                     scores.append(score)
             scores.sort(reverse=True)
-            deficit = sum(d for _, d in active)
+            deficit = sum(d for _, _, d in active)
             if sum(scores[:best_size - size - 1]) < 2 * deficit:
                 return
         branch(sel, size, banned, active, still, opened)
 
     def branch(sel: int, size: int, banned: int, active, still, opened):
-        cand, d = min(active, key=lambda a: a[0].bit_count())
+        count, cand, d = min(active, key=_COUNT)
         picks = _bits(cand)
-        if cand.bit_count() > d:   # else only the first pick is ever tried
+        if count > d:   # else only the first pick is ever tried
             # most open requirements first, the lower index on ties
             picks = sorted(
                 picks, reverse=True,
                 key=lambda b: (holds[b.bit_length() - 1] & opened).bit_count(),
             )
         out = banned
-        rest = cand
         for b in picks:
-            rest ^= b
             dfs(sel | b, size + 1, out, still)
             if size + 1 >= best_size:   # every later branch is at least as big
                 return
             out |= b
-            if rest.bit_count() < d:    # too few candidates left for the demand
+            count -= 1
+            if count < d:    # too few candidates left for the demand
                 return
 
-    def split(sel: int, size: int, cands, groups):
+    def split(sel: int, size: int, active, groups):
         # each group may use the incumbent minus what the others need at
         # least: their exact value once solved, their packing bound until
         # then.  The groups' bounds add up to the node's own packing bound,
@@ -361,8 +374,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         # it after each group.  Hence every group's bound is below its cap,
         # and a group's own root packing check could never prune.
         nonlocal nodes, best_mask, best_size
-        members = [[c for c in cands if c & g] for g in groups]
-        bounds = [_packing([(c, 1) for c in m]) for m in members]
+        members = [[a for a in active if a[1] & g] for g in groups]
+        bounds = [_packing(m) for m in members]
         total = size + sum(bounds)
         for g, m, lb in zip(groups, members, bounds):
             total -= lb
@@ -371,7 +384,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
                 total += 1
                 continue
             gsize, gmask, gnodes = _search(
-                [(c, 1) for c in m], None, g, best_size - total, True, True
+                [(c, 1) for _, c, _ in m], None, g, best_size - total, True, True
             )
             nodes += gnodes
             if gmask is None:
@@ -381,7 +394,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         best_mask, best_size = sel, total
 
     if connected:
-        branch(0, 0, 0, reqs, every, (1 << len(reqs)) - 1)
+        root = [(mask.bit_count(), mask, need) for mask, need in reqs]
+        branch(0, 0, 0, root, every, (1 << len(reqs)) - 1)
     else:
         dfs(0, 0, 0, every)
     return best_size, best_mask, nodes
