@@ -210,6 +210,19 @@ def _greedy(reqs, adj, allowed) -> int:
     return sel
 
 
+def _holds(reqs, allowed) -> list[int]:
+    """Item index -> bits of the requirements holding it among allowed."""
+    holds = [0] * allowed.bit_length()
+    for r, (mask, _) in enumerate(reqs):
+        bit = 1 << r
+        rest = mask & allowed   # inline, not _bits: this loop is hot
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            holds[b.bit_length() - 1] |= bit
+    return holds
+
+
 _COUNT = itemgetter(0)   # key of an active entry: its candidate count
 
 
@@ -265,16 +278,10 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     """
     best_mask = None
     nodes = 0
-    holds = [0] * allowed.bit_length()   # item -> bits of its requirements
-    every = []                           # (bit, mask, need) per requirement
-    for r, (mask, need) in enumerate(reqs):
-        bit = 1 << r
-        every.append((bit, mask, need))
-        rest = mask & allowed   # inline, not _bits: this loop is hot
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            holds[b.bit_length() - 1] |= bit
+    every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
+    # the coverage bound reads holds at every node; a hitting set reads it
+    # only to rank candidates, which many small ones never do
+    holds = None if hitting else _holds(reqs, allowed)
 
     def dfs(sel: int, size: int, banned: int, was_open):
         nonlocal nodes, best_mask, best_size
@@ -347,9 +354,12 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         branch(sel, size, banned, active, still, opened)
 
     def branch(sel: int, size: int, banned: int, active, still, opened):
+        nonlocal holds
         count, cand, d = min(active, key=_COUNT)
         picks = _bits(cand)
         if count > d:   # else only the first pick is ever tried
+            if holds is None:
+                holds = _holds(reqs, allowed)
             # most open requirements first, the lower index on ties
             picks = sorted(
                 picks, reverse=True,
