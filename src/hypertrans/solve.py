@@ -33,6 +33,14 @@ it lets the bound charge half a unit to each pick that sees no selected
 item, since that pick needs another new pick in one of its open
 requirements.
 
+The search starts from a greedy incumbent and looks only for something
+smaller.  Without the side constraint the greedy picks the item in the most
+unmet requirements.  With it, the greedy never leaves a pick without a
+picked neighbor: each step adds either one item that sees a selected item or
+a free item together with a free neighbor, whichever meets more unmet
+requirements per pick.  On a path that incumbent is already optimal, and the
+root's coverage bound proves it.
+
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
 
@@ -175,14 +183,54 @@ def _thin(reqs, adj, allowed, demand) -> int:
 
 
 def _greedy(reqs, adj, allowed) -> int:
-    """Repeatedly pick the item in the most unmet requirements (lowest index
-    on ties), then give every lonely pick a neighbor.  Raises
-    InfeasibleError when no usable item is left to pick."""
+    """A selection meeting every requirement, raising InfeasibleError when
+    no usable item can take it further.
+
+    Without adj, it repeatedly picks the item in the most unmet requirements,
+    the lowest index on ties.  With adj (the side constraint, demand 1) no
+    pick is ever left without a selected neighbor: each step takes the best
+    of two kinds of move, gains doubled to stay integral, the first one
+    found on ties, scanning items by increasing index:
+    - a free item that already sees a selected item, at twice its gain;
+    - a free item that sees no selected item, together with a free usable
+      neighbor, at the gain of the pair.
+    A gain is the number of unmet requirements met.
+    """
     sel = 0
+    if adj is not None:
+        holds = _holds(reqs, allowed)
+        unmet = (1 << len(reqs)) - 1
+        while unmet:
+            best_gain, best_move = 0, 0
+            rest = allowed & ~sel
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                i = b.bit_length() - 1
+                if adj[i] & sel:
+                    gain = 2 * (holds[i] & unmet).bit_count()
+                    if gain > best_gain:
+                        best_gain, best_move = gain, b
+                    continue
+                for c in _bits(adj[i] & allowed & ~sel):
+                    gain = ((holds[i] | holds[c.bit_length() - 1])
+                            & unmet).bit_count()
+                    if gain > best_gain:
+                        best_gain, best_move = gain, b | c
+            if not best_move:
+                r = (unmet & -unmet).bit_length() - 1
+                raise InfeasibleError(
+                    f"requirement {bin(reqs[r][0])} has no usable item with "
+                    f"a usable neighbor"
+                )
+            sel |= best_move
+            for b in _bits(best_move):
+                unmet &= ~holds[b.bit_length() - 1]
+        return sel
     while True:
         unmet = [mask for mask, need in reqs if (mask & sel).bit_count() < need]
         if not unmet:
-            break
+            return sel
         best_gain, best_item = 0, 0
         for b in _bits(allowed & ~sel):
             gain = len([mask for mask in unmet if mask & b])
@@ -193,21 +241,6 @@ def _greedy(reqs, adj, allowed) -> int:
                 f"requirement {bin(unmet[0])} has too few usable items"
             )
         sel |= best_item
-    if adj is not None:
-        while True:
-            lonely = next(
-                (b for b in _bits(sel) if adj[b.bit_length() - 1] & sel == 0),
-                0,
-            )
-            if not lonely:
-                break
-            cand = adj[lonely.bit_length() - 1] & allowed & ~sel
-            if not cand:
-                raise InfeasibleError(
-                    f"item {lonely.bit_length() - 1} has no usable neighbor"
-                )
-            sel |= cand & -cand
-    return sel
 
 
 def _holds(reqs, allowed) -> list[int]:

@@ -1,8 +1,11 @@
+import os
 import random
 
 import pytest
 
-from hypertrans.hcore import class_check, hypergraph
+from hypertrans.hcore import (
+    bit_indices, class_check, hypergraph, mask_neighborhoods,
+)
 from hypertrans.solve import (
     InfeasibleError,
     _greedy,
@@ -271,22 +274,42 @@ def _reduction_cases():
     yield from _side_and_demand_cases()
 
 
+def _assert_matches_oracle(obj, inv, cap=24):
+    try:
+        got = solve(obj, inv)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            brute_force_oracle(obj, inv, cap)
+        return
+    want = brute_force_oracle(obj, inv, cap).value
+    assert got.value == want, (inv, obj)
+    assert len(got.witness) == got.value
+    assert _DEFINITIONS[inv](obj, got.witness), (inv, obj, got.witness)
+
+
 def test_reductions_and_splitting_match_oracle():
     """tau, gamma and gamma_t use item dominance and component splitting;
     tau_strong drops items at demand 2, tau_t and ec_t under the side
     constraint, and those three bound every node by coverage."""
     for obj, invariants, cap in _reduction_cases():
         for inv in invariants:
-            try:
-                got = solve(obj, inv)
-            except InfeasibleError:
-                with pytest.raises(InfeasibleError):
-                    brute_force_oracle(obj, inv, cap)
-                continue
-            want = brute_force_oracle(obj, inv, cap).value
-            assert got.value == want, (inv, obj)
-            assert len(got.witness) == got.value
-            assert _DEFINITIONS[inv](obj, got.witness), (inv, obj, got.witness)
+            _assert_matches_oracle(obj, inv, cap)
+
+
+def test_oracle_sweep():
+    """Opt-in: HYPERTRANS_ORACLE_SWEEP=N checks N random instances (n <= 12)
+    against the brute-force oracle, each for the five hypergraph invariants
+    plus ec_t on a random graph.  Skipped when unset, since 10,000 instances
+    take minutes."""
+    count = int(os.environ.get("HYPERTRANS_ORACLE_SWEEP") or 0)
+    if count <= 0:
+        pytest.skip("set HYPERTRANS_ORACLE_SWEEP=N to check N instances")
+    rng = random.Random(1212)
+    for _ in range(count):
+        H = _rand_hg(rng, n_max=12, m_max=8)
+        for inv in _ALL:
+            _assert_matches_oracle(H, inv)
+        _assert_matches_oracle(_rand_graph(rng, n_max=9), "ec_t")
 
 
 def test_greedy_raises_when_nothing_can_be_picked():
@@ -300,6 +323,61 @@ def test_greedy_raises_when_nothing_can_be_picked():
     with pytest.raises(InfeasibleError):
         _greedy([(0b11, 1)], [0b10, 0b01], 0b10)
     assert _min_selection(2, [(0b11, 1)], total=True)[:2] == (2, 0b11)
+
+
+def test_side_constraint_greedy():
+    """Under the side constraint the greedy meets every requirement and no
+    pick is left without a picked neighbor.  It gets stuck exactly when no
+    selection of allowed items exists: when some requirement holds no
+    allowed item that has an allowed neighbor."""
+    rng = random.Random(6006)
+    outcomes = {True: 0, False: 0}
+    for trial in range(600):
+        if trial % 2:
+            G = _rand_graph(rng, n_max=10)
+            masks = [0] * G.n
+            for i, (u, v) in enumerate(G.edges):
+                masks[u] |= 1 << i
+                masks[v] |= 1 << i
+            nitems = G.m
+        else:
+            H = _rand_hg(rng, n_max=10, m_max=8)
+            masks, nitems = H.edge_masks(), H.n
+        reqs = [(m, 1) for m in masks]
+        adj = mask_neighborhoods(nitems, masks)
+        allowed = (1 << nitems) - 1
+        if trial % 3 == 0:   # as a reduction might leave it
+            allowed &= rng.getrandbits(nitems)
+        usable = sum(1 << i for i in bit_indices(allowed) if adj[i] & allowed)
+        feasible = all(m & usable for m in masks)
+        outcomes[feasible] += 1
+        if not feasible:
+            with pytest.raises(InfeasibleError):
+                _greedy(reqs, adj, allowed)
+            continue
+        sel = _greedy(reqs, adj, allowed)
+        assert sel & ~allowed == 0
+        assert all(m & sel for m in masks)
+        assert all(adj[i] & sel for i in bit_indices(sel))
+    assert min(outcomes.values()) >= 50, outcomes
+    # stuck after a first move: the pair {0, 1} meets the first
+    # requirement, and nothing usable is left for the second
+    with pytest.raises(InfeasibleError):
+        _greedy([(0b011, 1), (0b100, 1)], [0b010, 0b001, 0], 0b011)
+
+
+def test_side_constraint_on_the_100_vertex_path():
+    """On a path the root bound already equals the optimum, so an optimal
+    first incumbent leaves the search nothing to do."""
+    n = 100
+    P = hypergraph(n, [[i, i + 1] for i in range(n - 1)])
+    G = graph(n, [(i, i + 1) for i in range(n - 1)])
+    for obj, fn, pred, want in ((P, tau_t, is_total_transversal, 66),
+                                (G, ec_t, is_total_edge_cover, 67)):
+        got = fn(obj)
+        assert got.value == want == len(got.witness)
+        assert pred(obj, got.witness)
+        assert got.nodes <= 10, (fn.__name__, got.nodes)
 
 
 # tau_t search nodes on the ladder random_hypergraph(3, n, m, 7,
@@ -337,6 +415,27 @@ def test_tau_strong_nodes():
         assert is_strong_transversal(H, got.witness)
         nodes += got.nodes
     assert nodes <= TAU_STRONG_NODES_BEFORE * 7 // 10, nodes
+
+
+# ec_t search nodes on three pairing-model cubic graphs for each n = 12, 14,
+# ..., 24, drawn by _cubic_graph from random.Random(0), while the first
+# incumbent covered every requirement before giving lonely picks a neighbor:
+# 24,382.  The pair-aware incumbent must cut at least 60% of them.  Every one
+# of these graphs has ec_t = ceil(2n / 3).
+EC_T_CUBIC_NODES_BEFORE = 24_382
+
+
+def test_ec_t_cubic_nodes():
+    rng = random.Random(0)
+    nodes = 0
+    for n in range(12, 25, 2):
+        for _ in range(3):
+            G = _cubic_graph(rng, n)
+            got = ec_t(G)
+            assert got.value == -(-2 * n // 3) == len(got.witness)
+            assert is_total_edge_cover(G, got.witness)
+            nodes += got.nodes
+    assert nodes <= EC_T_CUBIC_NODES_BEFORE * 2 // 5, nodes
 
 
 def test_chain_tau_le_taut_le_taustrong():
