@@ -8,18 +8,22 @@ branch-and-bound core solves that; thin wrappers build the encodings, and a
 separate brute-force oracle checks the textbook definitions subset by subset.
 
 The core drops requirements implied by a tighter one, bounds each node by a
-packing of disjoint requirements and branches on the requirement with the
-fewest candidates, trying first the candidate that lies in the most open
-requirements (the lower index on ties).  A node looks only at the
-requirements still open at its parent, since a selection only grows.  At
-the root it also drops every item that kept items can stand in for.  tau,
-gamma and gamma_t are plain hitting sets (demand 1, no side constraint):
-there an item goes when another item lies in all of its requirements,
-alternating with requirement dominance until neither changes anything, and
-each node whose open requirements fall into groups that share no item
-solves every group by its own search, capped by the incumbent less what the
-other groups need, and adds the results.  A result's `nodes` counts the
-nodes of those group searches as well.
+packing and branches on the requirement with the least slack (candidates
+less deficit), trying first the candidate that lies in the most open
+requirements (the lower index on ties).  The packing walks the open
+requirements from the least slack up; each one adds the picks it still
+needs outside the candidates of those already counted, and joins them if
+it adds any.  At demand 1 that is a packing of disjoint requirements, and
+at demand 2 a requirement sharing one item with them still counts one
+pick.  A node looks only at the requirements still open at its parent,
+since a selection only grows.  At the root it also drops every item that
+kept items can stand in for.  tau, gamma and gamma_t are plain hitting
+sets (demand 1, no side constraint): there an item goes when another item
+lies in all of its requirements, alternating with requirement dominance
+until neither changes anything, and each node whose open requirements fall
+into groups that share no item solves every group by its own search, capped
+by the incumbent less what the other groups need, and adds the results.  A
+result's `nodes` counts the nodes of those group searches as well.
 
 The other three get a dominance rule of their own and a coverage bound at
 every node: the fewest free items whose open coverages add up to the open
@@ -256,18 +260,31 @@ def _holds(reqs, allowed) -> list[int]:
     return holds
 
 
-_COUNT = itemgetter(0)   # key of an active entry: its candidate count
+_SLACK = itemgetter(0)   # key of an active entry: its slack
 
 
 def _packing(active) -> int:
-    """Disjoint requirements need disjoint picks: a matching lower bound over
-    active entries (candidate count, candidates, deficit)."""
+    """A lower bound on the new picks that active entries (slack, candidates,
+    deficit) need, slack being the candidate count less the deficit.
+
+    Walking the entries by increasing slack, an entry whose deficit d
+    exceeds the number of its candidates already in `used` needs that many
+    more picks outside `used`; it adds them and joins `used`.  The picks
+    counted for different entries are disjoint, so the sum is sound for any
+    mix of demands.  At demand 1 it is the packing of disjoint requirements.
+    """
     lb = 0
     used = 0
-    for _, cand, d in sorted(active, key=_COUNT):
-        if cand & used == 0:
-            lb += d
-            used |= cand
+    for _, cand, d in sorted(active, key=_SLACK):
+        shared = cand & used
+        if shared:
+            if d == 1:   # met by a shared candidate, no count needed
+                continue
+            d -= shared.bit_count()
+            if d <= 0:
+                continue
+        lb += d
+        used |= cand
     return lb
 
 
@@ -292,8 +309,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     """Depth-first branch and bound for a selection smaller than best_size.
 
     Returns (size, mask, nodes) of the smallest one, with mask None when none
-    exists.  Every node is bounded by a packing of disjoint requirements and,
-    unless the instance is a plain hitting set, by a coverage count.  For a
+    exists.  Every node is bounded by the packing of `_packing` and, unless
+    the instance is a plain hitting set, by a coverage count.  For a
     hitting set (demand 1, no side constraint), a node whose open
     requirements fall into groups that share no item searches each group on
     its own and adds up the results.  Such a group search is connected: its
@@ -303,9 +320,10 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
 
     A node gets its parent's open requirements as (bit, mask, need) and
     hands the ones it leaves open to its children.  It branches on the open
-    requirement with the fewest candidates and tries them in decreasing
-    order of how many open requirements hold them, the lower index first on
-    ties (a connected root counts all of its requirements as open).  Every
+    requirement with the least slack, its candidate count less its deficit,
+    and tries the candidates in decreasing order of how many open
+    requirements hold them, the lower index first on ties (a connected root
+    counts all of its requirements as open).  Every
     order is complete: each tried candidate is banned from later siblings,
     which only have to cover the requirement without it.
     """
@@ -320,7 +338,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         nonlocal nodes, best_mask, best_size
         nodes += 1
         free = allowed & ~banned & ~sel
-        active = []    # (count, candidates, deficit), cover constraints first
+        active = []    # (slack, candidates, deficit), cover constraints first
         still = []     # was_open's entries that are still open, for children
         opened = 0     # bits of the requirements with a deficit
         for req in was_open:   # sel only grows: a closed one stays closed
@@ -329,10 +347,10 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             if d <= 0:
                 continue
             cand = mask & free
-            count = cand.bit_count()
-            if count < d:
+            slack = cand.bit_count() - d
+            if slack < 0:
                 return
-            active.append((count, cand, d))
+            active.append((slack, cand, d))
             still.append(req)
             opened |= bit
         lonely = 0
@@ -343,17 +361,23 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
                 cand = adj[b.bit_length() - 1] & free
                 if not cand:
                     return
-                active.append((cand.bit_count(), cand, 1))
+                active.append((cand.bit_count() - 1, cand, 1))
                 lonely |= b
         if not active:
             best_mask, best_size = sel, size
             return
-        bound = size   # plus the packing bound, inline: this loop is hot
+        bound = size   # plus _packing(active), inline: this loop is hot
         used = 0
-        for _, cand, d in sorted(active, key=_COUNT):
-            if cand & used == 0:
-                bound += d
-                used |= cand
+        for _, cand, d in sorted(active, key=_SLACK):
+            shared = cand & used
+            if shared:
+                if d == 1:   # met by a shared candidate, no count needed
+                    continue
+                d -= shared.bit_count()
+                if d <= 0:
+                    continue
+            bound += d
+            used |= cand
         if bound >= best_size:
             return
         if hitting:
@@ -388,9 +412,9 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
 
     def branch(sel: int, size: int, banned: int, active, still, opened):
         nonlocal holds
-        count, cand, d = min(active, key=_COUNT)
+        slack, cand, d = min(active, key=_SLACK)
         picks = _bits(cand)
-        if count > d:   # else only the first pick is ever tried
+        if slack:   # else only the first pick is ever tried
             if holds is None:
                 holds = _holds(reqs, allowed)
             # most open requirements first, the lower index on ties
@@ -404,8 +428,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             if size + 1 >= best_size:   # every later branch is at least as big
                 return
             out |= b
-            count -= 1
-            if count < d:    # too few candidates left for the demand
+            slack -= 1
+            if slack < 0:    # too few candidates left for the deficit
                 return
 
     def split(sel: int, size: int, active, groups):
@@ -437,7 +461,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
         best_mask, best_size = sel, total
 
     if connected:
-        root = [(mask.bit_count(), mask, need) for mask, need in reqs]
+        root = [(mask.bit_count() - need, mask, need) for mask, need in reqs]
         branch(0, 0, 0, root, every, (1 << len(reqs)) - 1)
     else:
         dfs(0, 0, 0, every)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -400,10 +401,12 @@ def test_tau_t_ladder_nodes():
 
 
 # tau_strong search nodes on random_hypergraph(4, 40, 40, s,
-# require_class=True) for s = 0..9 while candidates were tried in index
-# order: 44,398.  Trying the candidate in the most open requirements first
-# must cut at least 30% of them.
-TAU_STRONG_NODES_BEFORE = 44_398
+# require_class=True) for s = 0..9 while the node bound packed only
+# requirements disjoint from those already packed, and branching took the
+# requirement with the fewest candidates: 23,695.  Counting what a
+# requirement still needs outside the packed candidates, and branching on the
+# least slack, must at least halve them.
+TAU_STRONG_NODES_BEFORE = 23_695
 
 
 def test_tau_strong_nodes():
@@ -414,7 +417,39 @@ def test_tau_strong_nodes():
         assert got.value == want == len(got.witness)
         assert is_strong_transversal(H, got.witness)
         nodes += got.nodes
-    assert nodes <= TAU_STRONG_NODES_BEFORE * 7 // 10, nodes
+    assert nodes <= TAU_STRONG_NODES_BEFORE // 2, nodes
+
+
+def test_demand_aware_packing():
+    """At demand 2 a requirement sharing one item with the packed ones still
+    needs one more pick.  Here the packing of {3,6,7} and {1,4,5} counts 4,
+    {0,1,2} and then {0,2,4} one more each, so the root bound equals the
+    greedy's 5 and the search stops at its first node."""
+    got = tau_strong(hypergraph(8, [[3, 6, 7], [1, 4, 5], [0, 1, 2], [0, 2, 4]]))
+    assert (got.value, got.nodes) == (5, 1)
+    # mixed demands of 1 and 2 against a brute-force minimum, a quarter of
+    # the requirements having exactly as many items as they need
+    rng = random.Random(2727)
+    for _ in range(1500):
+        n = rng.randint(2, 10)
+        reqs = []
+        for _ in range(rng.randint(1, 7)):
+            need = rng.choice((1, 2))
+            if rng.random() < 0.25:
+                items = rng.sample(range(n), need)
+            else:
+                items = rng.sample(range(n), rng.randint(need, n))
+            reqs.append((sum(1 << i for i in items), need))
+        best = next(
+            len(combo)
+            for size in range(n + 1)
+            for combo in itertools.combinations(range(n), size)
+            if all((m & sum(1 << i for i in combo)).bit_count() >= need
+                   for m, need in reqs)
+        )
+        size, mask, _ = _min_selection(n, reqs)
+        assert size == best == mask.bit_count(), (n, reqs)
+        assert all((m & mask).bit_count() >= need for m, need in reqs)
 
 
 # ec_t search nodes on three pairing-model cubic graphs for each n = 12, 14,
