@@ -422,9 +422,11 @@ def test_tau_strong_nodes():
 
 def test_demand_aware_packing():
     """At demand 2 a requirement sharing one item with the packed ones still
-    needs one more pick.  Here the packing of {3,6,7} and {1,4,5} counts 4,
-    {0,1,2} and then {0,2,4} one more each, so the root bound equals the
-    greedy's 5 and the search stops at its first node."""
+    needs one more pick.  Here thinning leaves {3,6}, {1,4}, {0,1,2} and
+    {0,2,4}: the first two count 4, and {0,1,2}, which shares only item 1
+    with them, one more.  So the root bound equals the greedy's 5 and the
+    search stops at its first node, where the disjoint packing stopped at
+    4."""
     got = tau_strong(hypergraph(8, [[3, 6, 7], [1, 4, 5], [0, 1, 2], [0, 2, 4]]))
     assert (got.value, got.nodes) == (5, 1)
     # mixed demands of 1 and 2 against a brute-force minimum, a quarter of
