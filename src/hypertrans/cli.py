@@ -27,7 +27,9 @@ from .construct import (
     tt_2uniform,
     tt_kuniform,
 )
-from .hcore import FormatError, Hypergraph, from_text
+from .hcore import (
+    MAX_HEADER_COUNT, FormatError, Hypergraph, content_lines, from_text,
+)
 from .solve import InfeasibleError, brute_force_oracle, solve
 from .xform import (
     Graph,
@@ -67,17 +69,15 @@ def _workers(jobs: int) -> int:
 def _load(path: str):
     with open(path) as fh:
         text = fh.read()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split()[0]
-        if head == "hg":
-            return from_text(text)
-        if head == "g":
-            return graph_from_text(text)
-        raise FormatError(f"unrecognized header {head!r} in {path}")
-    raise FormatError(f"{path} has no content lines")
+    lines = content_lines(text)
+    if not lines:
+        raise FormatError(f"{path} has no content lines")
+    head = lines[0].split()[0]
+    if head == "hg":
+        return from_text(text)
+    if head == "g":
+        return graph_from_text(text)
+    raise FormatError(f"unrecognized header {head!r} in {path}")
 
 
 def _as_hypergraph(obj) -> Hypergraph:
@@ -257,6 +257,9 @@ def _cmd_xform(args):
 
 
 def _cmd_gen(args):
+    # what solve could not read back is not written
+    if max(args.n, args.m) > MAX_HEADER_COUNT:
+        raise ValueError(f"--n and --m may be at most {MAX_HEADER_COUNT}")
     H = random_hypergraph(args.k, args.n, args.m, args.seed,
                           require_class=args.require_class)
     return {"k": args.k, "n": H.n, "m": H.m, "seed": args.seed,
@@ -306,6 +309,13 @@ def _config_of(args) -> dict:
             if k not in skip}
 
 
+def _flat(values) -> str:
+    return " ".join(
+        ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
+        for v in values
+    )
+
+
 def _text_lines(value, key="", indent=""):
     lines = []
     if isinstance(value, dict):
@@ -319,11 +329,7 @@ def _text_lines(value, key="", indent=""):
             flat = " ".join(f"{k}={v}" for k, v in item.items())
             lines.append(f"{indent}{key}[{i}]: {flat}")
     elif isinstance(value, list):
-        flat = " ".join(
-            ",".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
-            for v in value
-        )
-        lines.append(f"{indent}{key}: {flat}")
+        lines.append(f"{indent}{key}: {_flat(value)}")
     elif isinstance(value, str) and "\n" in value:
         lines.append(f"{indent}{key}: |")
         lines.extend(f"{indent}  {ln}" for ln in value.splitlines())
@@ -338,14 +344,10 @@ def _csv_rows(result: dict):
         return rows
     flat = {}
     for k, v in result.items():
-        if isinstance(v, (dict,)):
+        if isinstance(v, dict):
             continue
         if isinstance(v, list):
-            flat[k] = " ".join(
-                ",".join(map(str, e)) if isinstance(e, (list, tuple))
-                else str(e)
-                for e in v
-            )
+            flat[k] = _flat(v)
         elif isinstance(v, str) and "\n" in v:
             flat[k] = v.replace("\n", ";")
         else:

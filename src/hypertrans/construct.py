@@ -16,13 +16,14 @@ from fractions import Fraction
 
 from .hcore import (
     Hypergraph, bit_indices, class_check, components, delete_vertices, induced,
+    neighborhood,
 )
 from .solve import (
     is_strong_transversal,
     is_total_edge_cover,
     is_total_transversal,
 )
-from .xform import Graph, dual
+from .xform import Graph, dual, two_section
 
 # splitmix64: the per-trial RNG.  64-bit integer arithmetic only, so streams
 # are identical on every platform, and seeds split by index without overlap
@@ -125,22 +126,17 @@ def _components_with_maps(H: Hypergraph, back):
 def _covering_adjacent_pair(H: Hypergraph):
     """Lowest adjacent pair {x, y} hitting every edge, or None."""
     masks = H.edge_masks()
-    full = range(H.m)
-    adj: set[tuple[int, int]] = set()
-    for e in H.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                adj.add((e[i], e[j]))
-    for x, y in sorted(adj):
+    for x, y in two_section(H).edges:
         pair = (1 << x) | (1 << y)
-        if all(masks[i] & pair for i in full):
+        if all(mask & pair for mask in masks):
             return x, y
     return None
 
 
-def _repair_isolated(H: Hypergraph, X: set, back, T: list):
+def _repair_isolated(H: Hypergraph, X: set):
     """After X leaves, fix each newly isolated edge with one vertex of
-    original degree >= 2 (lowest index); returns all vertices to delete."""
+    original degree >= 2 (lowest index); returns all vertices to delete and
+    the repair vertices."""
     degs = H.degrees()
     keep = [e for e in H.edges if not X.intersection(e)]
     repaired = []
@@ -149,11 +145,44 @@ def _repair_isolated(H: Hypergraph, X: set, back, T: list):
         others = [f for f in keep if f != e and set(f) & set(e)]
         if others:
             continue
-        z = next(v for v in e if degs[v] >= 2)
-        T.append(back[z])
-        repaired.append(back[z])
+        repaired.append(next(v for v in e if degs[v] >= 2))
         doomed.update(e)
     return doomed, repaired
+
+
+def _reduce(H: Hypergraph, rule, guarantee: Fraction) -> ConstructionResult:
+    """The reduction scheme behind both size bounds, run per component.
+
+    A component with an adjacent pair hitting every edge takes that pair.
+    Otherwise rule(C) names its step and the vertices it picks, and says
+    whether they finish C.  If not, they leave with every edge they meet,
+    each edge this isolates is repaired, and the rest splits into its
+    components again.  The trace holds (rule id, picked, repaired) in
+    original indices, and the union is re-checked as a total transversal.
+    """
+    T: list[int] = []
+    trace: list[tuple] = []
+    work = _components_with_maps(H, tuple(range(H.n)))
+    while work:
+        C, back = work.pop()
+        if C.m == 0:
+            continue
+        pair = _covering_adjacent_pair(C)
+        name, picked, final = ("pair", pair, True) if pair else rule(C)
+        T += [back[v] for v in picked]
+        if final:
+            trace.append((name, tuple(sorted(back[v] for v in picked)), ()))
+            continue
+        doomed, repaired = _repair_isolated(C, set(picked))
+        T += [back[v] for v in repaired]
+        trace.append((name, tuple(back[v] for v in picked),
+                      tuple(back[v] for v in repaired)))
+        rest = delete_vertices(C, doomed)
+        work += _components_with_maps(rest, tuple(back[v] for v in rest.labels))
+    witness = tuple(sorted(T))
+    if not is_total_transversal(H, witness):
+        raise RuntimeError(f"construction produced an invalid set {witness}")
+    return ConstructionResult(witness, guarantee, tuple(trace))
 
 
 def tt_2uniform(H: Hypergraph) -> ConstructionResult:
@@ -166,38 +195,16 @@ def tt_2uniform(H: Hypergraph) -> ConstructionResult:
     cc = class_check(H)
     if not (cc.in_Hk and cc.k == 2):
         raise ValueError("input must be 2-uniform with every component sound")
-    T: list[int] = []
-    trace: list[tuple] = []
-    work = _components_with_maps(H, tuple(range(H.n)))
-    while work:
-        C, back = work.pop()
-        if C.m == 0:
-            continue
-        pair = _covering_adjacent_pair(C)
-        if pair:
-            x, y = pair
-            T += [back[x], back[y]]
-            trace.append(("pair", (back[x], back[y]), ()))
-            continue
-        degs = C.degrees()
-        x = max(range(C.n), key=lambda v: (degs[v], -v))
-        # lowest neighbor of x still covered once x leaves
-        y = min(
-            v
-            for e in C.edges
-            if x in e
-            for v in e
-            if v != x and degs[v] >= 2
-        )
-        T += [back[x], back[y]]
-        doomed, repaired = _repair_isolated(C, {x, y}, back, T)
-        trace.append(("xy", (back[x], back[y]), tuple(repaired)))
-        rest = delete_vertices(C, doomed)
-        work += _components_with_maps(rest, tuple(back[v] for v in rest.labels))
-    witness = tuple(sorted(T))
-    if not is_total_transversal(H, witness):
-        raise RuntimeError(f"construction produced an invalid set {witness}")
-    return ConstructionResult(witness, Fraction(2 * (H.n + H.m), 5), tuple(trace))
+    return _reduce(H, _xy_rule, Fraction(2 * (H.n + H.m), 5))
+
+
+def _xy_rule(C: Hypergraph):
+    """A max-degree x (the lowest on ties) and its lowest neighbor y that is
+    still covered once x leaves."""
+    degs = C.degrees()
+    x = max(range(C.n), key=lambda v: (degs[v], -v))
+    y = min(v for v in neighborhood(C, x) if degs[v] >= 2)
+    return "xy", (x, y), False
 
 
 def tt_kuniform(H: Hypergraph) -> ConstructionResult:
@@ -211,46 +218,20 @@ def tt_kuniform(H: Hypergraph) -> ConstructionResult:
     cc = class_check(H)
     if not cc.in_Hk or cc.k < 3:
         raise ValueError("input must be a sound uniform instance with k >= 3")
-    T: list[int] = []
-    trace: list[tuple] = []
-    work = _components_with_maps(H, tuple(range(H.n)))
-    while work:
-        C, back = work.pop()
-        if C.m == 0:
-            continue
-        X = _k_rule(C, T, trace, back)
-        if X is None:
-            continue                       # terminal case consumed C
-        doomed, repaired = _repair_isolated(C, X, back, T)
-        if repaired:
-            trace[-1] = trace[-1][:2] + (tuple(repaired),)
-        rest = delete_vertices(C, doomed)
-        work += _components_with_maps(rest, tuple(back[v] for v in rest.labels))
-    witness = tuple(sorted(T))
-    if not is_total_transversal(H, witness):
-        raise RuntimeError(f"construction produced an invalid set {witness}")
-    return ConstructionResult(witness, Fraction(H.n + H.m, 3), tuple(trace))
+    return _reduce(H, _k_rule, Fraction(H.n + H.m, 3))
 
 
-def _k_rule(C: Hypergraph, T: list, trace: list, back):
-    """Apply the first matching reduction to connected C; returns the removed
-    pair, or None when a terminal dual construction finished the component."""
-    pair = _covering_adjacent_pair(C)
-    if pair:
-        x, y = pair
-        T += [back[x], back[y]]
-        trace.append(("pair", (back[x], back[y]), ()))
-        return None
+def _k_rule(C: Hypergraph):
+    """The first matching reduction after the covering pair, on connected C;
+    the terminal dual constructions finish C."""
     degs = C.degrees()
     if max(degs) >= 3:
         x = max(range(C.n), key=lambda v: (degs[v], -v))
-        nx = _nbhd(C, x)
+        nx = neighborhood(C, x)
         y = min(
             v for e in C.edges if x not in e for v in e if v in nx
         )
-        T += [back[x], back[y]]
-        trace.append(("maxdeg", (back[x], back[y]), ()))
-        return {x, y}
+        return "maxdeg", (x, y), False
     ones = [v for v in range(C.n) if degs[v] == 1]
     if ones:
         v1 = ones[0]
@@ -266,41 +247,20 @@ def _k_rule(C: Hypergraph, T: list, trace: list, back):
             if i not in (e1, e2) and set(e) & union12
         )
         v3 = min(set(C.edges[e3]) & union12)
-        T += [back[v2], back[v3]]
-        trace.append(("deg1", (back[v2], back[v3]), ()))
-        return {v2, v3}
+        return "deg1", (v2, v3), False
     masks = C.edge_masks()
     for i in range(C.m):
         for j in range(i + 1, C.m):
             if (masks[i] & masks[j]).bit_count() >= 2:
                 u = min(set(C.edges[i]) & set(C.edges[j]))
                 v = min(set(C.edges[i]) - set(C.edges[j]))
-                T += [back[u], back[v]]
-                trace.append(("overlap", (back[u], back[v]), ()))
-                return {u, v}
+                return "overlap", (u, v), False
     # terminal: 2-regular and linear; go through the dual graph
     G = dual(C)
-    k = len(C.edges[0])
-    if k >= 4:
-        chosen = _spanning_tree_labels(G)
-        T += [back[v] for v in chosen]
-        trace.append(("tree", tuple(sorted(back[v] for v in chosen)), ()))
-    else:
-        cover = total_edge_cover_forest(G)
-        lookup = {e: lab for e, lab in zip(G.edges, G.edge_labels)}
-        chosen = [lookup[e] for e in cover.set]
-        T += [back[v] for v in chosen]
-        trace.append(("forest", tuple(sorted(back[v] for v in chosen)), ()))
-    return None
-
-
-def _nbhd(C: Hypergraph, x: int) -> set:
-    out: set[int] = set()
-    for e in C.edges:
-        if x in e:
-            out.update(e)
-    out.discard(x)
-    return out
+    if len(C.edges[0]) >= 4:
+        return "tree", _spanning_tree_labels(G), True
+    lookup = {e: lab for e, lab in zip(G.edges, G.edge_labels)}
+    return "forest", [lookup[e] for e in total_edge_cover_forest(G).set], True
 
 
 def _spanning_tree_labels(G: Graph) -> list[int]:
@@ -445,7 +405,7 @@ def _strong_params(H: Hypergraph, c: float):
     k = sizes.pop()
     if k < 2:
         raise ValueError("edge size must be at least 2")
-    if c <= 1:
+    if not c > 1:   # NaN included
         raise ValueError(f"c must exceed 1, got {c}")
     p = math.log(c * k) / (k - 1)
     if p > 1:
@@ -522,10 +482,8 @@ def strong_transversal_trials(
     if jobs > 1 and trials >= 4 * jobs:
         bounds = [trials * w // jobs for w in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                _trial_rows_star,
-                [(H, c, seed, bounds[w], bounds[w + 1]) for w in range(jobs)],
-            )
+            chunks = pool.map(_trial_rows, [H] * jobs, [c] * jobs,
+                              [seed] * jobs, bounds[:-1], bounds[1:])
         rows = [r for chunk in chunks for r in chunk]
     else:
         rows = _trial_rows(H, c, seed, 0, trials)
@@ -552,10 +510,6 @@ def strong_transversal_trials(
         mean_x3=_mean([r[3] for r in rows]),
         cap_x3=lk / (c * (k - 1)) * H.m,
     )
-
-
-def _trial_rows_star(args):
-    return _trial_rows(*args)
 
 
 def _mean(xs) -> float:

@@ -22,23 +22,6 @@ class FormatError(ValueError):
 MAX_HEADER_COUNT = 10_000
 
 
-def header_counts(line: str, kind: str) -> tuple[int, int]:
-    """(n, m) from a `<kind> n m` header line, within MAX_HEADER_COUNT."""
-    head = line.split()
-    if len(head) != 3 or head[0] != kind:
-        raise FormatError(f"bad header {line!r}, expected '{kind} <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError(f"non-integer counts in header {line!r}") from None
-    if max(n, m) > MAX_HEADER_COUNT:
-        raise FormatError(
-            f"header {line!r} exceeds the limit of {MAX_HEADER_COUNT} "
-            f"vertices or edges"
-        )
-    return n, m
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     n: int
@@ -320,31 +303,46 @@ def class_floor_check(H: Hypergraph) -> list[BoundRow]:
 
 def from_text(text: str) -> Hypergraph:
     """Parse the `hg` text format (header `hg n m`, then `e v1 ... vk` lines)."""
-    lines = _content_lines(text)
+    return read_text(text, "hg", hypergraph)
+
+
+def read_text(text: str, kind: str, build, edge_size: int | None = None):
+    """build(n, edges) from a `<kind> n m` header and m `e ...` lines, with
+    exactly edge_size vertices each when it is given; `#` starts a comment."""
+    lines = content_lines(text)
     if not lines:
         raise FormatError("empty input")
-    n, m = header_counts(lines[0], "hg")
+    header = lines[0]
+    head = header.split()
+    if len(head) != 3 or head[0] != kind:
+        raise FormatError(f"bad header {header!r}, expected '{kind} <n> <m>'")
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:
+        raise FormatError(f"non-integer counts in header {header!r}") from None
+    if max(n, m) > MAX_HEADER_COUNT:
+        raise FormatError(
+            f"header {header!r} exceeds the limit of {MAX_HEADER_COUNT} "
+            f"vertices or edges"
+        )
     if len(lines) - 1 != m:
         raise FormatError(f"header says {m} edges, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] != "e":
+        if parts[0] != "e" or edge_size not in (None, len(parts) - 1):
             raise FormatError(f"bad edge line {ln!r}")
         try:
             edges.append([int(p) for p in parts[1:]])
         except ValueError:
             raise FormatError(f"non-integer vertex in {ln!r}") from None
     try:
-        return hypergraph(n, edges)
+        return build(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+def content_lines(text: str) -> list[str]:
+    """The non-blank lines of text, each stripped of its comment."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [ln for ln in lines if ln]

@@ -73,13 +73,6 @@ class SolveResult:
     method: str      # branch_and_bound | brute_force
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b
-
-
 def _min_selection(nitems: int, reqs, total: bool = False):
     """Minimum item set with >= need items inside each requirement mask.
 
@@ -165,7 +158,7 @@ def _thin(reqs, adj, allowed, demand) -> int:
     """
     common: dict[int, int] = {}   # item bit -> AND of its requirements
     for mask, _ in reqs:
-        rest = mask & allowed   # inline, not _bits: this loop is hot
+        rest = mask & allowed   # inline, not bit_indices: this loop is hot
         while rest:
             b = rest & -rest
             rest ^= b
@@ -179,8 +172,8 @@ def _thin(reqs, adj, allowed, demand) -> int:
             if others.bit_count() >= demand:
                 kept ^= b
             continue
-        for j in _bits(others):
-            if adj[j.bit_length() - 1] & kept & ~b:
+        for j in bit_indices(others):
+            if adj[j] & kept & ~b:
                 kept ^= b
                 break
     return kept
@@ -206,21 +199,16 @@ def _greedy(reqs, adj, allowed) -> int:
         unmet = (1 << len(reqs)) - 1
         while unmet:
             best_gain, best_move = 0, 0
-            rest = allowed & ~sel
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                i = b.bit_length() - 1
+            for i in bit_indices(allowed & ~sel):
                 if adj[i] & sel:
                     gain = 2 * (holds[i] & unmet).bit_count()
                     if gain > best_gain:
-                        best_gain, best_move = gain, b
+                        best_gain, best_move = gain, 1 << i
                     continue
-                for c in _bits(adj[i] & allowed & ~sel):
-                    gain = ((holds[i] | holds[c.bit_length() - 1])
-                            & unmet).bit_count()
+                for j in bit_indices(adj[i] & allowed & ~sel):
+                    gain = ((holds[i] | holds[j]) & unmet).bit_count()
                     if gain > best_gain:
-                        best_gain, best_move = gain, b | c
+                        best_gain, best_move = gain, 1 << i | 1 << j
             if not best_move:
                 r = (unmet & -unmet).bit_length() - 1
                 raise InfeasibleError(
@@ -228,15 +216,16 @@ def _greedy(reqs, adj, allowed) -> int:
                     f"a usable neighbor"
                 )
             sel |= best_move
-            for b in _bits(best_move):
-                unmet &= ~holds[b.bit_length() - 1]
+            for i in bit_indices(best_move):
+                unmet &= ~holds[i]
         return sel
     while True:
         unmet = [mask for mask, need in reqs if (mask & sel).bit_count() < need]
         if not unmet:
             return sel
         best_gain, best_item = 0, 0
-        for b in _bits(allowed & ~sel):
+        for i in bit_indices(allowed & ~sel):
+            b = 1 << i
             gain = len([mask for mask in unmet if mask & b])
             if gain > best_gain:
                 best_gain, best_item = gain, b
@@ -252,7 +241,7 @@ def _holds(reqs, allowed) -> list[int]:
     holds = [0] * allowed.bit_length()
     for r, (mask, _) in enumerate(reqs):
         bit = 1 << r
-        rest = mask & allowed   # inline, not _bits: this loop is hot
+        rest = mask & allowed   # inline, not bit_indices: this loop is hot
         while rest:
             b = rest & -rest
             rest ^= b
@@ -355,14 +344,14 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             opened |= bit
         lonely = 0
         if adj is not None:
-            for b in _bits(sel):
-                if adj[b.bit_length() - 1] & sel:
+            for i in bit_indices(sel):
+                if adj[i] & sel:
                     continue
-                cand = adj[b.bit_length() - 1] & free
+                cand = adj[i] & free
                 if not cand:
                     return
                 active.append((cand.bit_count() - 1, cand, 1))
-                lonely |= b
+                lonely |= 1 << i
         if not active:
             best_mask, best_size = sel, size
             return
@@ -392,7 +381,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
             # a requirement open by that very fact, so it meets half a unit
             # less.  Scores are doubled to stay integral.
             scores = []
-            rest = free   # inline, not _bits: this loop is hot
+            rest = free   # inline, not bit_indices: this loop is hot
             while rest:
                 b = rest & -rest
                 rest ^= b
@@ -413,17 +402,18 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     def branch(sel: int, size: int, banned: int, active, still, opened):
         nonlocal holds
         slack, cand, d = min(active, key=_SLACK)
-        picks = _bits(cand)
+        picks = bit_indices(cand)
         if slack:   # else only the first pick is ever tried
             if holds is None:
                 holds = _holds(reqs, allowed)
             # most open requirements first, the lower index on ties
             picks = sorted(
                 picks, reverse=True,
-                key=lambda b: (holds[b.bit_length() - 1] & opened).bit_count(),
+                key=lambda i: (holds[i] & opened).bit_count(),
             )
         out = banned
-        for b in picks:
+        for i in picks:
+            b = 1 << i
             dfs(sel | b, size + 1, out, still)
             if size + 1 >= best_size:   # every later branch is at least as big
                 return

@@ -10,11 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hcore import (
-    FormatError,
     Hypergraph,
+    bit_indices,
     class_check,
-    header_counts,
     hypergraph,
+    mask_neighborhoods,
+    neighborhood_masks,
+    read_text,
 )
 
 
@@ -40,11 +42,8 @@ class Graph:
         return d
 
     def neighbor_masks(self) -> list[int]:
-        nb = [0] * self.n
-        for u, v in self.edges:
-            nb[u] |= 1 << v
-            nb[v] |= 1 << u
-        return nb
+        pairs = (1 << u | 1 << v for u, v in self.edges)
+        return mask_neighborhoods(self.n, pairs)
 
     def to_hypergraph(self) -> Hypergraph:
         return hypergraph(self.n, self.edges)
@@ -84,27 +83,7 @@ def graph(n, edges, edge_labels=None) -> Graph:
 
 def graph_from_text(text: str) -> Graph:
     """Parse the `g` text format (header `g n m`, then `e u v` lines)."""
-    lines = [
-        s for s in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if s
-    ]
-    if not lines:
-        raise FormatError("empty input")
-    n, m = header_counts(lines[0], "g")
-    if len(lines) - 1 != m:
-        raise FormatError(f"header says {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "e" or len(parts) != 3:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            edges.append((int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise FormatError(f"non-integer vertex in {ln!r}") from None
-    try:
-        return graph(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return read_text(text, "g", graph, edge_size=2)
 
 
 def onh(H: Hypergraph) -> Hypergraph:
@@ -117,13 +96,8 @@ def onh(H: Hypergraph) -> Hypergraph:
     for v in range(H.n):
         if degs[v] == 0:
             raise ValueError(f"vertex {v} is isolated, its neighborhood is empty")
-    nbhd: list[set[int]] = [set() for _ in range(H.n)]
-    for e in H.edges:
-        for v in e:
-            nbhd[v].update(e)
-    for v in range(H.n):
-        nbhd[v].discard(v)
-    return hypergraph(H.n, [sorted(s) for s in nbhd], allow_singletons=True)
+    nbhd = [bit_indices(nb) for nb in neighborhood_masks(H)]
+    return hypergraph(H.n, nbhd, allow_singletons=True)
 
 
 def two_section(H: Hypergraph) -> Graph:

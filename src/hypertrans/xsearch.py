@@ -27,21 +27,10 @@ from .hcore import (
     Hypergraph,
     class_check,
     class_floor_check,
+    degree_profile,
     hypergraph,
 )
 from .solve import tau, tau_strong, tau_t, gamma_t
-
-
-def invariant_signature(H: Hypergraph) -> tuple:
-    """Cheap isomorphism invariant: order, size, degree and overlap profiles.
-    Unequal signatures prove non-isomorphism; equal ones decide nothing."""
-    masks = H.edge_masks()
-    overlaps = sorted(
-        (masks[i] & masks[j]).bit_count()
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    )
-    return (H.n, H.m, tuple(sorted(H.degrees())), tuple(overlaps))
 
 
 def _lex_min(H: Hypergraph, stop_below: bool) -> tuple:
@@ -321,7 +310,7 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
     if instance_id is None:
         instance_id = hashlib.sha256(H.to_text().encode()).hexdigest()[:12]
     cc = class_check(H)
-    dp_n1 = sum(1 for d in H.degrees() if d == 1)
+    n1 = degree_profile(H).n1
     cache: dict[str, int] = {}
 
     def val(name) -> int:
@@ -347,7 +336,7 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
         solver_row("T_k3", Fraction(val("tau_t")), Fraction(n + m, 3))
     else:
         skipped.append(("T_k3", "requires a sound instance with k >= 3"))
-    theta = Fraction(2 * n + 2 * m - dp_n1)
+    theta = Fraction(2 * n + 2 * m - n1)
     if cc.in_Hk and k >= 4:
         solver_row("T_k4", Fraction(6 * val("tau_t")), theta)
     else:

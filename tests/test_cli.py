@@ -73,6 +73,32 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_respects_the_header_cap(capsys):
+    # solve refuses a header above the cap, so gen must not write one
+    for n, m in (("10001", "2"), ("12", "10001")):
+        code, out, err = _run(capsys, ["gen", "--k", "2", "--n", n,
+                                       "--m", m, "--seed", "0"])
+        assert code == 2 and out == ""
+        assert err == "error: --n and --m may be at most 10000\n"
+    code, payload, _ = _run_json(capsys, ["gen", "--k", "2", "--n", "10000",
+                                          "--m", "2", "--seed", "0"])
+    assert code == 0 and payload["result"]["text"].startswith("hg 10000 2\n")
+
+
+def test_c_must_exceed_one(tmp_path, capsys):
+    # NaN fails every comparison, so `c <= 1` once let it through
+    g = tmp_path / "ring4.hg"
+    g.write_text(RING4)
+    for c in ("nan", "1", "0.5"):
+        for argv in (["construct", "--method", "strong", str(g)],
+                     ["construct", "--method", "strong-trials", str(g),
+                      "--trials", "4"],
+                     ["sweep", "--k-list", "3", "--trials", "4"]):
+            code, out, err = _run(capsys, argv + ["--c", c])
+            assert code == 2 and out == ""
+            assert err == f"error: c must exceed 1, got {float(c)}\n"
+
+
 def test_infeasible_is_exit_one(tmp_path, capsys):
     f = tmp_path / "k2.g"
     f.write_text(K2)

@@ -17,11 +17,22 @@ from hypertrans.xsearch import (
     canonical_key,
     enumerate_Hk,
     estimate_bk,
-    invariant_signature,
     is_canonical,
     random_hypergraph,
     verify_bounds,
 )
+
+
+def invariant_signature(H: Hypergraph) -> tuple:
+    """Cheap isomorphism invariant: order, size, degree and overlap profiles.
+    Unequal signatures prove non-isomorphism; equal ones decide nothing."""
+    masks = H.edge_masks()
+    overlaps = sorted(
+        (masks[i] & masks[j]).bit_count()
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+    )
+    return (H.n, H.m, tuple(sorted(H.degrees())), tuple(overlaps))
 
 
 def _relabel(H, perm):
