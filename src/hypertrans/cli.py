@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -94,7 +95,11 @@ def _as_graph(obj) -> Graph:
     return graph(obj.n, obj.edges)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later one in the process: parse_args keeps no state between calls and
+    returns a fresh Namespace each time."""
     p = argparse.ArgumentParser(
         prog="hypertrans",
         description="exact solvers, constructions, and bound checks for "

@@ -139,11 +139,16 @@ def _repair_isolated(H: Hypergraph, X: set):
     the repair vertices."""
     degs = H.degrees()
     keep = [e for e in H.edges if not X.intersection(e)]
+    # a kept edge meets no other kept edge exactly when each of its
+    # vertices lies in it alone among the kept edges
+    kept_degs = [0] * H.n
+    for e in keep:
+        for v in e:
+            kept_degs[v] += 1
     repaired = []
     doomed = set(X)
     for e in keep:
-        others = [f for f in keep if f != e and set(f) & set(e)]
-        if others:
+        if any(kept_degs[v] > 1 for v in e):
             continue
         repaired.append(next(v for v in e if degs[v] >= 2))
         doomed.update(e)
@@ -422,11 +427,33 @@ def strong_expected_bound(H: Hypergraph, c: float) -> float:
     return lk / (k - 1) * H.n + lk / (c * (k - 1)) * H.m + 2 / (c * k) * H.m
 
 
+def _draw_threshold(p: float) -> int:
+    """The smallest u with u / 2**64 >= p: a draw u keeps its vertex, as
+    rng.random() < p would, exactly when u is below it.  u / 2**64 rounds
+    monotonically, so bisection over the integers finds it."""
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 >= p:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _strong_parts(masks, n: int, p: float, rng: SplitMix64):
+    # rng.random() < p per vertex, with the splitmix64 step inline and an
+    # integer comparison: bit for bit the same draws and final state
+    threshold = _draw_threshold(p)
+    state = rng.state
     x1 = 0
     for v in range(n):
-        if rng.random() < p:
+        state = (state + _GOLDEN) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        if z ^ (z >> 31) < threshold:
             x1 |= 1 << v
+    rng.state = state
     x2 = 0
     x3 = 0
     for mask in masks:

@@ -267,8 +267,14 @@ class BoundRow:
     rhs_provenance: str = "formula"
 
     def __post_init__(self):
-        object.__setattr__(self, "slack", Fraction(self.rhs) - Fraction(self.lhs))
-        object.__setattr__(self, "holds", self.slack >= 0)
+        lhs, rhs = self.lhs, self.rhs
+        if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+            slack = rhs - lhs   # the usual case, no re-wrapping
+        else:
+            slack = Fraction(rhs) - Fraction(lhs)
+        object.__setattr__(self, "slack", slack)
+        # a Fraction's denominator is positive: its numerator has its sign
+        object.__setattr__(self, "holds", slack.numerator >= 0)
 
     def as_dict(self) -> dict:
         return {
@@ -291,8 +297,13 @@ def class_floor_check(H: Hypergraph) -> list[BoundRow]:
     cc = class_check(H)
     if not cc.in_Hk:
         raise ValueError("hypergraph is not an H_k member")
-    dp = degree_profile(H)
-    k, n, m = cc.k, H.n, H.m
+    return _floor_rows(cc, degree_profile(H), H.n, H.m)
+
+
+def _floor_rows(cc: ClassCheck, dp: DegreeProfile, n: int, m: int):
+    """class_floor_check's rows from a class check and a degree profile
+    already in hand."""
+    k = cc.k
     return [
         BoundRow("O2_n", Fraction(k + 1), Fraction(n)),
         BoundRow("O2_m", Fraction(2), Fraction(m)),

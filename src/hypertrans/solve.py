@@ -115,8 +115,10 @@ def _min_selection(nitems: int, reqs, total: bool = False):
             reqs = _drop_implied(reqs, allowed)
             if len(reqs) == before:   # same requirements, same item signatures
                 break
-    greedy = _greedy(reqs, adj, allowed)
-    size, mask, nodes = _search(reqs, adj, allowed, greedy.bit_count(), hitting)
+    holds = _holds(reqs, allowed)
+    greedy = _greedy(reqs, adj, allowed, holds)
+    size, mask, nodes = _search(reqs, adj, allowed, greedy.bit_count(), hitting,
+                                holds=holds)
     if mask is None:   # nothing beats the greedy selection
         mask = greedy
     return size, mask, nodes
@@ -126,20 +128,24 @@ def _drop_implied(reqs, allowed):
     """Requirements restricted to allowed, minus those implied by a tighter
     one (a subset with >= demand), in their original order so that branching
     tie-breaks stay index-based."""
-    eff = sorted(
-        ((mask & allowed, need) for mask, need in reqs),
-        key=lambda r: (r[0].bit_count(), -r[1]),
-    )
+    eff = [(mask & allowed, need) for mask, need in reqs]
     kept: list[tuple[int, int]] = []
-    for mask, need in eff:
+    for mask, need in sorted(eff, key=_tightness):
         for km, kn in kept:
             if km & ~mask == 0 and kn >= need:
                 break
         else:
             kept.append((mask, need))
-    order = {r: i for i, r in enumerate((m & allowed, nd) for m, nd in reqs)}
-    kept.sort(key=lambda r: order[r])
+    if len(kept) == len(eff):   # none implied, so none repeated: eff in order
+        return eff
+    order = {r: i for i, r in enumerate(eff)}
+    kept.sort(key=order.__getitem__)
     return kept
+
+
+def _tightness(req):
+    mask, need = req
+    return mask.bit_count(), -need
 
 
 def _thin(reqs, adj, allowed, demand) -> int:
@@ -179,7 +185,7 @@ def _thin(reqs, adj, allowed, demand) -> int:
     return kept
 
 
-def _greedy(reqs, adj, allowed) -> int:
+def _greedy(reqs, adj, allowed, holds=None) -> int:
     """A selection meeting every requirement, raising InfeasibleError when
     no usable item can take it further.
 
@@ -191,12 +197,14 @@ def _greedy(reqs, adj, allowed) -> int:
     - a free item that already sees a selected item, at twice its gain;
     - a free item that sees no selected item, together with a free usable
       neighbor, at the gain of the pair.
-    A gain is the number of unmet requirements met.
+    A gain is the number of unmet requirements met, read from holds,
+    _holds(reqs, allowed) when not given.
     """
-    sel = 0
-    if adj is not None:
+    if holds is None:
         holds = _holds(reqs, allowed)
-        unmet = (1 << len(reqs)) - 1
+    sel = 0
+    unmet = (1 << len(reqs)) - 1   # bits of the requirements short of need
+    if adj is not None:
         while unmet:
             best_gain, best_move = 0, 0
             for i in bit_indices(allowed & ~sel):
@@ -219,21 +227,24 @@ def _greedy(reqs, adj, allowed) -> int:
             for i in bit_indices(best_move):
                 unmet &= ~holds[i]
         return sel
-    while True:
-        unmet = [mask for mask, need in reqs if (mask & sel).bit_count() < need]
-        if not unmet:
-            return sel
+    short = [need for _, need in reqs]   # picks each one still needs
+    while unmet:
         best_gain, best_item = 0, 0
         for i in bit_indices(allowed & ~sel):
-            b = 1 << i
-            gain = len([mask for mask in unmet if mask & b])
+            gain = (holds[i] & unmet).bit_count()
             if gain > best_gain:
-                best_gain, best_item = gain, b
-        if not best_item:
+                best_gain, best_item = gain, i
+        if not best_gain:
+            r = (unmet & -unmet).bit_length() - 1
             raise InfeasibleError(
-                f"requirement {bin(unmet[0])} has too few usable items"
+                f"requirement {bin(reqs[r][0])} has too few usable items"
             )
-        sel |= best_item
+        sel |= 1 << best_item
+        for r in bit_indices(holds[best_item] & unmet):
+            short[r] -= 1
+            if not short[r]:
+                unmet ^= 1 << r
+    return sel
 
 
 def _holds(reqs, allowed) -> list[int]:
@@ -294,7 +305,8 @@ def _components(cands) -> list[int]:
     return groups
 
 
-def _search(reqs, adj, allowed, best_size, hitting, connected=False):
+def _search(reqs, adj, allowed, best_size, hitting, connected=False,
+            holds=None):
     """Depth-first branch and bound for a selection smaller than best_size.
 
     Returns (size, mask, nodes) of the smallest one, with mask None when none
@@ -316,12 +328,27 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False):
     order is complete: each tried candidate is banned from later siblings,
     which only have to cover the requirement without it.
     """
+    if not connected:
+        # the root node's own tests, before any set-up: most small searches
+        # end there, their packing bound already reaching the incumbent
+        root = []
+        for mask, need in reqs:
+            cand = mask & allowed
+            slack = cand.bit_count() - need
+            if slack < 0:
+                return best_size, None, 1
+            root.append((slack, cand, need))
+        if not root:
+            return 0, 0, 1
+        if _packing(root) >= best_size:
+            return best_size, None, 1
     best_mask = None
     nodes = 0
     every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
     # the coverage bound reads holds at every node; a hitting set reads it
     # only to rank candidates, which many small ones never do
-    holds = None if hitting else _holds(reqs, allowed)
+    if holds is None and not hitting:
+        holds = _holds(reqs, allowed)
 
     def dfs(sel: int, size: int, banned: int, was_open):
         nonlocal nodes, best_mask, best_size

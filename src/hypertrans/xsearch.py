@@ -25,8 +25,8 @@ from .hcore import (
     BoundRow,
     ClassCheck,
     Hypergraph,
+    _floor_rows,
     class_check,
-    class_floor_check,
     degree_profile,
     hypergraph,
 )
@@ -304,20 +304,22 @@ def _b_value(k: int) -> tuple[Fraction, str]:
     return Fraction(2, 7), "bound-based"
 
 
+_ROW_SOLVERS = {"tau": tau, "tau_t": tau_t, "tau_strong": tau_strong,
+                "gamma_t": gamma_t}
+
+
 def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
     """Evaluate every theorem row whose class precondition holds; the rest
     are listed as skipped with the failing precondition spelled out."""
     if instance_id is None:
         instance_id = hashlib.sha256(H.to_text().encode()).hexdigest()[:12]
     cc = class_check(H)
-    n1 = degree_profile(H).n1
+    dp = degree_profile(H)
     cache: dict[str, int] = {}
 
     def val(name) -> int:
         if name not in cache:
-            fn = {"tau": tau, "tau_t": tau_t, "tau_strong": tau_strong,
-                  "gamma_t": gamma_t}[name]
-            cache[name] = fn(H).value
+            cache[name] = _ROW_SOLVERS[name](H).value
         return cache[name]
 
     n, m, k = H.n, H.m, cc.k
@@ -336,7 +338,7 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
         solver_row("T_k3", Fraction(val("tau_t")), Fraction(n + m, 3))
     else:
         skipped.append(("T_k3", "requires a sound instance with k >= 3"))
-    theta = Fraction(2 * n + 2 * m - n1)
+    theta = Fraction(2 * n + 2 * m - dp.n1)
     if cc.in_Hk and k >= 4:
         solver_row("T_k4", Fraction(6 * val("tau_t")), theta)
     else:
@@ -374,7 +376,7 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
     else:
         skipped.append(("T_main1B", "requires a star-class instance with k >= 4"))
     if cc.in_Hk:
-        rows.extend(class_floor_check(H))
+        rows.extend(_floor_rows(cc, dp, n, m))
     else:
         skipped.append(("O2", "requires a sound uniform instance"))
     rows.append(BoundRow("chain_tau", Fraction(val("tau")),

@@ -308,3 +308,32 @@ def test_python_dash_m_from_a_checkout():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: hypertrans")
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a usage error, then two
+    # subcommands whose --cap defaults differ (16 and 24), must each print
+    # what a fresh interpreter prints
+    p3 = tmp_path / "p3.hg"
+    p3.write_text(P3)
+    c5 = tmp_path / "c5.hg"
+    c5.write_text(C5)
+    runs = (
+        ["construct", str(p3), "--method", "tec-forest", "--cap", "x"],
+        ["construct", str(p3), "--method", "tec-forest", "--no-timestamp"],
+        ["solve", str(c5), "--invariant", "tau_t", "--oracle",
+         "--no-timestamp"],
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = [_run(capsys, argv) for argv in runs]
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    assert [json.loads(out)["config"]["cap"] for _, out, _ in in_process[1:]] \
+        == [16, 24]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    for argv, (code, out, err) in zip(runs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hypertrans", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)

@@ -4,9 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from hypertrans import construct
 from hypertrans.construct import (
+    _GOLDEN,
+    _M64,
     ConstructionResult,
     SplitMix64,
+    _draw_threshold,
+    _repair_isolated,
+    _strong_params,
+    _strong_parts,
     p3_packing,
     randomized_strong_transversal,
     split_seed,
@@ -23,6 +30,7 @@ from hypertrans.solve import (
     tau_t,
 )
 from hypertrans.xform import graph
+from hypertrans.xsearch import random_hypergraph
 
 
 def _rand_connected_graph_hg(rng, n):
@@ -58,6 +66,48 @@ def _petersen():
         edges.append((i, i + 5))
         edges.append((i + 5, ((i + 2) % 5) + 5))
     return graph(10, sorted(set(tuple(sorted(e)) for e in edges)))
+
+
+def _repair_pairwise(H, X):
+    """_repair_isolated as first written: each kept edge tested against
+    every other kept edge."""
+    degs = H.degrees()
+    keep = [e for e in H.edges if not X.intersection(e)]
+    repaired = []
+    doomed = set(X)
+    for e in keep:
+        if [f for f in keep if f != e and set(f) & set(e)]:
+            continue
+        repaired.append(next(v for v in e if degs[v] >= 2))
+        doomed.update(e)
+    return doomed, repaired
+
+
+def test_repair_by_kept_degree_matches_pairwise_rule(monkeypatch):
+    rng = SplitMix64(4242)
+    instances = []
+    for k in range(2, 6):
+        for _ in range(40):
+            n = k + 3 + rng.randrange(12)
+            m = 2 + rng.randrange(n if k == 2 else 6)
+            if m <= math.comb(n, k):
+                instances.append(random_hypergraph(k, n, m, rng.next_u64(),
+                                                   require_class=True))
+    # the rule itself, on every instance and a few removed sets
+    for H in instances:
+        for _ in range(3):
+            X = set(rng.sample(H.n, 1 + rng.randrange(3)))
+            assert _repair_isolated(H, X) == _repair_pairwise(H, X)
+    fast = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
+            for H in instances]
+    monkeypatch.setattr(construct, "_repair_isolated", _repair_pairwise)
+    slow = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
+            for H in instances]
+    assert [(r.set, r.trace) for r in fast] == [(r.set, r.trace) for r in slow]
+    # repairs did fire, for graphs and for k >= 3
+    repairs = {len(H.edges[0]) >= 3 for H, r in zip(instances, fast)
+               if any(rep for _, _, rep in r.trace)}
+    assert repairs == {False, True}
 
 
 def test_tt2_path_and_cycle():
@@ -256,3 +306,73 @@ def test_strong_trials_jobs_equivalence():
     a = strong_transversal_trials(H, 2.0, trials=16, seed=5, jobs=1)
     b = strong_transversal_trials(H, 2.0, trials=16, seed=5, jobs=2)
     assert a == b
+
+
+def _strong_parts_reference(masks, n, p, rng):
+    """_strong_parts as first written: one rng.random() < p per vertex."""
+    x1 = 0
+    for v in range(n):
+        if rng.random() < p:
+            x1 |= 1 << v
+    x2 = x3 = 0
+    for mask in masks:
+        hit = (mask & x1).bit_count()
+        if hit == 0:
+            lo = mask & -mask
+            x2 |= lo | ((mask ^ lo) & -(mask ^ lo))
+        elif hit == 1:
+            rest = mask & ~x1
+            x3 |= rest & -rest
+    return x1, x2, x3
+
+
+def _unshift(z, s):
+    # inverse of z ^ (z >> s) on 64 bits
+    out = z
+    for _ in range(64 // s):
+        out = z ^ (out >> s)
+    return out
+
+
+def _state_before(u):
+    """The state whose next splitmix64 draw is u."""
+    z = _unshift(u, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & _M64, 27)
+    z = _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _M64, 30)
+    return (z - _GOLDEN) & _M64
+
+
+def _draw_probabilities():
+    ps = []
+    for c in (1.01, 2.0, math.e, 10.0):
+        for k in range(2, 51):
+            try:
+                ps.append(_strong_params(hypergraph(k, [range(k)]), c)[1])
+            except ValueError:   # ln(ck)/(k-1) above 1
+                pass
+    return ps + [2.0 ** -64, 0.5, 1 - 2.0 ** -53]
+
+
+def test_inline_draw_matches_random_below_p():
+    ps = _draw_probabilities()
+    assert len(ps) > 180
+    draws = random.Random(25)
+    for idx, p in enumerate(ps):
+        t = _draw_threshold(p)
+        assert (t - 1) / 2**64 < p <= t / 2**64
+        # the two draws either side of the threshold, one vertex each
+        for u in (t - 1, t):
+            want, got = SplitMix64(_state_before(u)), SplitMix64(_state_before(u))
+            assert want.next_u64() == u
+            want.state = got.state
+            assert _strong_parts([1], 1, p, got) \
+                == _strong_parts_reference([1], 1, p, want)
+            assert got.state == want.state
+        n = 8 + idx % 60
+        masks = [sum(1 << v for v in draws.sample(range(n), draws.randint(2, n)))
+                 for _ in range(draws.randint(1, 12))]
+        seed = split_seed(31, idx)
+        want, got = SplitMix64(seed), SplitMix64(seed)
+        assert _strong_parts(masks, n, p, got) \
+            == _strong_parts_reference(masks, n, p, want)
+        assert got.state == want.state
