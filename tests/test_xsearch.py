@@ -1,5 +1,6 @@
 """Canonical forms, enumeration, ratio search, theorem harness, sweep."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -221,6 +222,35 @@ def test_enumerate_matches_brute_force_classes():
             assert all(is_canonical(H) for H in mine)
             for A, B in itertools.combinations(mine, 2):
                 assert not _isomorphic(A, B)
+
+
+# sha256 of the concatenated to_text() of each stream, taken while the gate
+# still ran at full edge lists only: pins representatives and their order on
+# shapes beyond criterion 04's
+ENUM_STREAM_DIGESTS = {
+    (3, 8, 5): "5cbf17af2d2691c1fa830696064cfbd2695ef3f3aaff4189d1616e361702960e",
+    (4, 8, 4): "a758af23674ae946a78f34f5bad1f467cd8a6f8f1ce0056034c1ffb2f6cb66ca",
+}
+
+
+def test_enumerate_stream_digests():
+    for (k, n_max, m_max), want in ENUM_STREAM_DIGESTS.items():
+        text = "".join(H.to_text() for H in enumerate_Hk(k, n_max, m_max))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (k, n_max, m_max)
+
+
+def test_every_prefix_of_a_class_is_canonical():
+    # the property that lets the enumeration prune non-canonical prefixes:
+    # each prefix of an emitted list uses vertices 0..t-1 and is lex-min
+    # among the relabelings of those t vertices
+    for k, n_max, m_max in [(2, 6, 6), (3, 6, 5), (4, 6, 4)]:
+        for H in enumerate_Hk(k, n_max, m_max):
+            for i in range(1, H.m + 1):
+                prefix = H.edges[:i]
+                t = max(e[-1] for e in prefix) + 1
+                assert {v for e in prefix for v in e} == set(range(t))
+                assert _lex_min_oracle(Hypergraph(t, prefix)) == prefix, \
+                    (H.edges, i)
 
 
 def test_enumerate_rejects_bad_k():
