@@ -6,10 +6,11 @@ vertex relabelings.  One best-first assignment search finds it: labels go
 out in increasing order, children are ranked by an incremental lower bound
 on the sorted edge image and dropped once that bound reaches the incumbent,
 and vertices lying in exactly the same edges are tried once.  The
-enumeration's canonicity gate runs the same search and stops at the first
-image below the candidate, so it emits canonical representatives only.  All
-theorem rows carry exact rationals so tightness (slack zero) is a meaningful
-statement.
+enumeration is orderly: its canonicity gate runs the same search, stopping
+at the first image below the candidate, on every prefix of the edge list as
+it grows, so a non-canonical prefix is cut with its whole subtree and only
+canonical representatives are emitted.  All theorem rows carry exact
+rationals so tightness (slack zero) is a meaningful statement.
 """
 
 from __future__ import annotations
@@ -123,21 +124,29 @@ def enumerate_Hk(k: int, n_max: int, m_max: int, nm_max: int | None = None):
 
     Builds edge lists in strictly increasing lexicographic order where each
     edge's unseen vertices are a consecutive block; minimal labelings have
-    that shape, so every class survives, and an is_canonical gate at the
-    leaves drops the duplicates.
+    that shape, so every class survives.  An is_canonical gate on every
+    prefix drops the duplicates.  That is sound because a prefix E' of a
+    canonical list E, taken on the t vertices it uses, is canonical too: if
+    a relabeling of those t vertices sorted E' below itself, applying it to
+    E (the later vertices fixed) would sort E below itself, since every
+    later edge lies above every edge of E' and adding edges only lowers the
+    sorted order statistics.  So a cut subtree holds no class and the stream
+    is unchanged.  Canonicity of an edge list does not depend on the shape,
+    so each prefix is gated once per call.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    canonical: dict[tuple, bool] = {}
     for n in range(k + 1, n_max + 1):
         for m in range(2, m_max + 1):
             if n > k * m:
                 continue
             if nm_max is not None and n + m > nm_max:
                 continue
-            yield from _enumerate_nm(k, n, m)
+            yield from _enumerate_nm(k, n, m, canonical)
 
 
-def _enumerate_nm(k: int, n: int, m: int):
+def _enumerate_nm(k: int, n: int, m: int, canonical: dict):
     first = tuple(range(k))
 
     def candidates(t: int, last: tuple):
@@ -150,6 +159,13 @@ def _enumerate_nm(k: int, n: int, m: int):
                     out.append(e)
         return sorted(out)
 
+    def gate(edges: tuple, t: int) -> bool:
+        # edges use exactly the vertices 0..t-1
+        ok = canonical.get(edges)
+        if ok is None:
+            ok = canonical[edges] = is_canonical(Hypergraph(t, edges))
+        return ok
+
     def dfs(edges: list, t: int):
         if len(edges) == m:
             if t != n:
@@ -159,7 +175,7 @@ def _enumerate_nm(k: int, n: int, m: int):
             for i, a in enumerate(masks):
                 if not any(a & b for j, b in enumerate(masks) if i != j):
                     return               # isolated edge
-            if is_canonical(H):
+            if gate(H.edges, n):
                 yield H
             return
         left = m - len(edges)
@@ -167,7 +183,11 @@ def _enumerate_nm(k: int, n: int, m: int):
             return                       # cannot reach n vertices
         for e in candidates(t, edges[-1]):
             edges.append(e)
-            yield from dfs(edges, max(t, e[-1] + 1))
+            u = max(t, e[-1] + 1)
+            # a full list meets the gate at its leaf, after the isolated-edge
+            # test; a shorter one here, so its subtree is cut if it fails
+            if len(edges) == m or gate(tuple(edges), u):
+                yield from dfs(edges, u)
             edges.pop()
 
     if n < k:

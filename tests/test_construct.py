@@ -14,6 +14,7 @@ from hypertrans.construct import (
     _repair_isolated,
     _strong_params,
     _strong_parts,
+    _trial_rows,
     p3_packing,
     randomized_strong_transversal,
     split_seed,
@@ -22,7 +23,9 @@ from hypertrans.construct import (
     tt_2uniform,
     tt_kuniform,
 )
-from hypertrans.hcore import class_check, components, hypergraph
+from hypertrans.hcore import (
+    Hypergraph, bit_indices, class_check, components, hypergraph,
+)
 from hypertrans.solve import (
     is_strong_transversal,
     is_total_edge_cover,
@@ -376,3 +379,77 @@ def test_inline_draw_matches_random_below_p():
         assert _strong_parts(masks, n, p, got) \
             == _strong_parts_reference(masks, n, p, want)
         assert got.state == want.state
+
+
+def _trial_rows_reference(H, c, seed, lo, hi):
+    """_trial_rows as a per-trial loop over _strong_parts_reference."""
+    _, p = _strong_params(H, c)
+    masks = H.edge_masks()
+    rows = []
+    for i in range(lo, hi):
+        rng = SplitMix64(split_seed(seed, i))
+        x1, x2, x3 = _strong_parts_reference(masks, H.n, p, rng)
+        union = x1 | x2 | x3
+        rows.append(
+            (union.bit_count(), x1.bit_count(), x2.bit_count(),
+             x3.bit_count(), all((m & union).bit_count() >= 2 for m in masks))
+        )
+    return rows
+
+
+def _kernel_instances():
+    rng = random.Random(62)
+    out = [_rand_hk(rng, k, rng.randint(k + 1, 2 * k + 2), rng.randint(2, 6))
+           for k in range(2, 7)]
+    out.append(random_hypergraph(50, 200, 200, 3, require_class=True))
+    # 257-vertex edges: with p near 1 each is hit 256 or 257 times, which
+    # a per-edge count of 8 bits would read as 0 or 1
+    out.append(random_hypergraph(257, 300, 12, 4, require_class=True))
+    return out
+
+
+def test_kernel_matches_reference_draws():
+    cases = [(H, H.edge_masks()) for H in _kernel_instances()]
+    cases.append((Hypergraph(1, ((0,),)), (1,)))      # a single lane
+    for idx, p in enumerate(_draw_probabilities()):
+        t = _draw_threshold(p)
+        for j, (H, masks) in enumerate(cases):
+            draw = construct._strong_kernel(H, masks, p)
+            # a random trial, then the draws either side of the threshold
+            # placed at lane v
+            v = idx % H.n
+            seeds = [split_seed(idx, j)] + [
+                (_state_before(u) - v * _GOLDEN) & _M64 for u in (t - 1, t)
+            ]
+            for seed in seeds:
+                want, got = SplitMix64(seed), SplitMix64(seed)
+                assert draw(got) == _strong_parts_reference(masks, H.n, p, want)
+                assert got.state == want.state
+
+
+def _valid_c(H, c):
+    try:
+        _strong_params(H, c)
+    except ValueError:   # ln(ck)/(k-1) above 1
+        return False
+    return True
+
+
+def test_trial_rows_match_reference_loop():
+    instances = _kernel_instances()
+    wide = instances[-1]
+    assert _strong_params(wide, math.exp(250))[1] > 0.98
+    for H in instances:
+        cs = [c for c in (1.01, 2.0, math.e, 10.0, math.exp(250))
+              if _valid_c(H, c)]
+        assert cs
+        for c in cs:
+            assert _trial_rows(H, c, 17, 3, 11) \
+                == _trial_rows_reference(H, c, 17, 3, 11)
+            # the one-shot construction draws through the same kernel
+            _, p = _strong_params(H, c)
+            x1, x2, x3 = _strong_parts_reference(H.edge_masks(), H.n, p,
+                                                 SplitMix64(29))
+            assert randomized_strong_transversal(H, c, 29) \
+                == tuple(bit_indices(x1 | x2 | x3))
+

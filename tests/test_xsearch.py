@@ -83,7 +83,7 @@ def _lex_min_oracle(H):
 
 def _gate_leaves(monkeypatch, k, n_max, m_max):
     """Every edge list that reaches the is_canonical gate of the enumeration,
-    canonical or not."""
+    prefixes and full lists, canonical or not."""
     leaves = []
     gate = xsearch.is_canonical
 
@@ -251,6 +251,22 @@ def test_every_prefix_of_a_class_is_canonical():
                 assert {v for e in prefix for v in e} == set(range(t))
                 assert _lex_min_oracle(Hypergraph(t, prefix)) == prefix, \
                     (H.edges, i)
+
+
+def test_enumerate_gate_calls(monkeypatch):
+    # a ceiling, like the solver's node ceilings: gating every prefix once
+    # per call takes 596 lex-min searches here, gating full lists 6,208
+    calls = 0
+    search = xsearch._lex_min
+
+    def counted(H, stop_below):
+        nonlocal calls
+        calls += 1
+        return search(H, stop_below)
+
+    monkeypatch.setattr(xsearch, "_lex_min", counted)
+    assert sum(1 for _ in enumerate_Hk(4, 8, 4)) == 112
+    assert calls <= 1000
 
 
 def test_enumerate_rejects_bad_k():
