@@ -447,23 +447,22 @@ def _draw_threshold(p: float) -> int:
 # multiply step runs on the whole int and is masked back to 64 bits a lane.
 # A draw w keeps its vertex when w is below the threshold T, which is when
 # w + 2**64 - T does not carry into bit 64 of its lane; the carry bits come
-# out as one binary string through to_bytes, a slice and translate.  The
-# kept vertices' incidence ints then count the hits per edge, saturating at
-# two in two bit planes (hit once, hit twice), so only the edges hit fewer
-# than twice reach the repair.
+# out as one binary string through to_bytes, a slice and translate.  Each
+# edge is then hit h = mask & x1: none when h == 0, once when h & (h - 1)
+# == 0, and only those edges reach the repair.
 
 _KEPT = bytes.maketrans(b"\0\1", b"10")    # carry byte -> kept bit
 
 
-def _strong_kernel(H: Hypergraph, masks, p: float):
-    """One trial's draw(rng) -> (x1, x2, x3), with its constants built once.
+def _strong_kernel(masks, n: int, p: float):
+    """One trial's draw(rng) -> (x1, x2, x3) on edges given as masks over
+    n vertices, with its lane constants built once.
 
-    masks are H's edge masks.  x1 keeps vertex v when rng's (v+1)-th next draw is below
+    x1 keeps vertex v when rng's (v+1)-th next draw is below
     _draw_threshold(p), as rng.random() < p would, and leaves rng n draws
     on.  Edges x1 misses add their two lowest vertices to x2, edges it hits
     once their lowest unkept vertex to x3.
     """
-    n = H.n
     ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
     low64 = _M64 * ones
     steps = int.from_bytes(
@@ -472,12 +471,6 @@ def _strong_kernel(H: Hypergraph, masks, p: float):
         "little",
     )
     no_carry = (2**64 - _draw_threshold(p)) * ones
-    incidence = [0] * n
-    for j, e in enumerate(H.edges):
-        bit = 1 << j
-        for v in e:
-            incidence[v] |= bit
-    every = (1 << len(masks)) - 1
 
     def draw(rng: SplitMix64):
         s0 = rng.state
@@ -487,28 +480,25 @@ def _strong_kernel(H: Hypergraph, masks, p: float):
         z = ((z ^ z >> 31) & low64) + no_carry
         x1 = int(z.to_bytes(16 * n, "big")[7::16].translate(_KEPT), 2)
         rng.state = (s0 + n * _GOLDEN) & _M64
-        once = twice = 0
-        for v in bit_indices(x1):
-            twice |= once & incidence[v]
-            once |= incidence[v]
-        x2 = 0
-        for j in bit_indices(every & ~once):
-            mask = masks[j]
-            lo = mask & -mask
-            x2 |= lo | ((mask ^ lo) & -(mask ^ lo))
-        x3 = 0
-        for j in bit_indices(once & ~twice):
-            rest = masks[j] & ~x1
-            x3 |= rest & -rest
+        x2 = x3 = 0
+        for mask in masks:
+            hit = mask & x1
+            if hit & (hit - 1):
+                continue            # hit twice or more
+            if hit:
+                rest = mask ^ hit
+                x3 |= rest & -rest
+            else:
+                lo = mask & -mask
+                x2 |= lo | ((mask ^ lo) & -(mask ^ lo))
         return x1, x2, x3
 
     return draw
 
 
 def _strong_parts(masks, n: int, p: float, rng: SplitMix64):
-    """The kernel's one trial on edges given as masks over n vertices."""
-    edges = tuple(tuple(bit_indices(mask)) for mask in masks)
-    return _strong_kernel(Hypergraph(n, edges), masks, p)(rng)
+    """The kernel's one trial."""
+    return _strong_kernel(masks, n, p)(rng)
 
 
 def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
@@ -519,7 +509,7 @@ def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
     hit once their lowest unkept vertex.  Reproducible per (H, c, seed).
     """
     _, p = _strong_params(H, c)
-    x1, x2, x3 = _strong_kernel(H, H.edge_masks(), p)(SplitMix64(seed))
+    x1, x2, x3 = _strong_parts(H.edge_masks(), H.n, p, SplitMix64(seed))
     out = tuple(bit_indices(x1 | x2 | x3))
     if not is_strong_transversal(H, out):
         raise RuntimeError("construction produced an invalid strong transversal")
@@ -529,7 +519,7 @@ def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
 def _trial_rows(H: Hypergraph, c: float, seed: int, lo: int, hi: int):
     _, p = _strong_params(H, c)
     masks = H.edge_masks()
-    draw = _strong_kernel(H, masks, p)
+    draw = _strong_kernel(masks, H.n, p)
     rows = []
     for i in range(lo, hi):
         x1, x2, x3 = draw(SplitMix64(split_seed(seed, i)))

@@ -402,8 +402,7 @@ def _kernel_instances():
     out = [_rand_hk(rng, k, rng.randint(k + 1, 2 * k + 2), rng.randint(2, 6))
            for k in range(2, 7)]
     out.append(random_hypergraph(50, 200, 200, 3, require_class=True))
-    # 257-vertex edges: with p near 1 each is hit 256 or 257 times, which
-    # a per-edge count of 8 bits would read as 0 or 1
+    # 257-vertex edges: with p near 1 each is hit 256 or 257 times
     out.append(random_hypergraph(257, 300, 12, 4, require_class=True))
     return out
 
@@ -414,7 +413,7 @@ def test_kernel_matches_reference_draws():
     for idx, p in enumerate(_draw_probabilities()):
         t = _draw_threshold(p)
         for j, (H, masks) in enumerate(cases):
-            draw = construct._strong_kernel(H, masks, p)
+            draw = construct._strong_kernel(masks, H.n, p)
             # a random trial, then the draws either side of the threshold
             # placed at lane v
             v = idx % H.n

@@ -7,9 +7,10 @@
 Each tree is a checkout (for example made with `git archive`) holding
 `perfbench/run.py` and `src/`.  Each listed seed gives one pair: both trees
 run back to back at that seed, the parent first for the 1st, 3rd, 5th ...
-seed of a workload and the change first for the others.  A traced pair
-runs once per side with --trace 1, the parent first.  The output has the
-layout of the committed BENCH files:
+seed of a workload and the change first for the others, each for
+BENCHMARK.json's run_seconds.  A traced pair runs once per side with
+--trace 1, the parent first.  The output has the layout of the committed
+BENCH files:
 per workload and end-to-end metric, the quartiles of each side, the runs,
 the wins and losses of the change, the median gap and the parent's IQR;
 per traced workload, every per-layer metric of each side.  Standard library
@@ -40,6 +41,14 @@ def _seeds(spec: str) -> tuple[str, list[int]]:
     if not name or not out:
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, got {spec!r}")
     return name, out
+
+
+def _traced(spec: str) -> tuple[str, int]:
+    """'name:5' -> (name, 5)."""
+    name, seeds = _seeds(spec)
+    if len(seeds) != 1:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED, got {spec!r}")
+    return name, seeds[0]
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -92,21 +101,20 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--label", required=True)
     ap.add_argument("--pairs", type=_seeds, action="append", default=[])
-    ap.add_argument("--traced", type=_seeds, action="append", default=[])
-    ap.add_argument("--seconds", type=float, default=60)
+    ap.add_argument("--traced", type=_traced, action="append", default=[])
     ap.add_argument("--change-note", default="")
     ap.add_argument("--parent-commit", default=None,
                     help="recorded as is; defaults to the parent run's git sha")
-    ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     end_to_end = {d["name"]: d for d in declared["end_to_end"]}
+    seconds = declared["run_seconds"]
     command = "python3 perfbench/run.py --workload <workload> --seed <seed> " \
-              f"--seconds {args.seconds:g} --trace {{trace}}"
+              f"--seconds {seconds:g} --trace {{trace}}"
 
     def run(side, workload, seed, trace):
-        r = _run(trees[side], workload, seed, args.seconds, trace)
+        r = _run(trees[side], workload, seed, seconds, trace)
         shown = ("items_per_s", "solve.nodes")
         note = {k: round(r["metrics"][k]["value"], 4) for k in shown if k in r["metrics"]}
         print(f"{workload} seed {seed} trace {trace} {side}: {note} "
@@ -140,14 +148,13 @@ def main(argv=None) -> int:
     traced = {"command": command.format(trace=1),
               "note": "one traced run per side, parent first; single runs, "
                       "so host drift shows in trace.overhead_frac"}
-    for workload, seeds in args.traced:
-        for seed in seeds:
-            key = workload if len(seeds) == 1 else f"{workload}-seed{seed}"
-            traced[key] = {
-                side: {k: round(m["value"], 4)
-                       for k, m in run(side, workload, seed, 1)["metrics"].items()}
-                for side in SIDES
-            }
+    for workload, seed in args.traced:
+        traced[workload] = {
+            "seed": seed,
+            **{side: {k: round(m["value"], 4)
+                      for k, m in run(side, workload, seed, 1)["metrics"].items()}
+               for side in SIDES},
+        }
     record = {
         "label": args.label,
         "change": args.change_note,
@@ -164,7 +171,7 @@ def main(argv=None) -> int:
     }
     if args.traced:
         record["traced"] = traced
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
