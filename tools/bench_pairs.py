@@ -43,14 +43,6 @@ def _seeds(spec: str) -> tuple[str, list[int]]:
     return name, out
 
 
-def _traced(spec: str) -> tuple[str, int]:
-    """'name:5' -> (name, 5)."""
-    name, seeds = _seeds(spec)
-    if len(seeds) != 1:
-        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED, got {spec!r}")
-    return name, seeds[0]
-
-
 def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
@@ -101,11 +93,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--label", required=True)
     ap.add_argument("--pairs", type=_seeds, action="append", default=[])
-    ap.add_argument("--traced", type=_traced, action="append", default=[])
+    ap.add_argument("--traced", type=_seeds, metavar="WORKLOAD:SEED")
     ap.add_argument("--change-note", default="")
     ap.add_argument("--parent-commit", default=None,
                     help="recorded as is; defaults to the parent run's git sha")
     args = ap.parse_args(argv)
+    if args.traced and len(args.traced[1]) != 1:
+        ap.error("--traced takes one WORKLOAD:SEED")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     end_to_end = {d["name"]: d for d in declared["end_to_end"]}
@@ -145,16 +139,6 @@ def main(argv=None) -> int:
                 for p, c in zip(runs["parent"], runs["change"])),
             "metrics": _compare(end_to_end, runs),
         }
-    traced = {"command": command.format(trace=1),
-              "note": "one traced run per side, parent first; single runs, "
-                      "so host drift shows in trace.overhead_frac"}
-    for workload, seed in args.traced:
-        traced[workload] = {
-            "seed": seed,
-            **{side: {k: round(m["value"], 4)
-                      for k, m in run(side, workload, seed, 1)["metrics"].items()}
-               for side in SIDES},
-        }
     record = {
         "label": args.label,
         "change": args.change_note,
@@ -170,7 +154,16 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     if args.traced:
-        record["traced"] = traced
+        workload, (seed,) = args.traced
+        record["traced"] = {
+            "command": command.format(trace=1),
+            "note": "one traced run per side, parent first; single runs, "
+                    "so host drift shows in trace.overhead_frac",
+            workload: {"seed": seed, **{
+                side: {k: round(m["value"], 4)
+                       for k, m in run(side, workload, seed, 1)["metrics"].items()}
+                for side in SIDES}},
+        }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
