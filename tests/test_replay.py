@@ -1,18 +1,21 @@
 """Replay gate for the exact core: a fixed, seeded population of small
 instances, in the benchmark pool's shapes (k 2..6, n <= 11, m <= 6), runs
 through all six invariants, and so does each instance's open-neighborhood
-image and two-section image.  Every outcome, (value, witness, nodes) or the
-InfeasibleError text, feeds one sha256 per invariant.  The digests pin the
-values, the witnesses and the node counts, so a change to the reductions,
-the greedy incumbent or the branching order that moves any of them fails
-here.  A change meant to move them updates EXPECTED and says why in
-CHANGES.md.
+image and two-section image.  Each invariant gets two sha256 digests: one
+over every outcome, (value, witness) or the InfeasibleError text, and one
+over the node counts.  They pin the values, the witnesses and the node
+counts apart, so a change to the reductions, the greedy incumbent or the
+branching order that moves any of them fails here, and a change that is
+meant to prune more can show that it moved only the nodes.  A change meant
+to move them updates EXPECTED and says why in CHANGES.md.
 
 Run as a script (`PYTHONPATH=src python3 tests/test_replay.py`) it prints
 the digests.
 """
 
+import functools
 import hashlib
+import json
 import math
 
 from hypertrans.construct import SplitMix64, split_seed
@@ -26,12 +29,18 @@ INSTANCES = 240
 
 EXPECTED = {
     "calls": 4110,
-    "tau": "a4f942d0c43d6cd79778eed3c5983d4aa91543f18a916706bb082c3021553afa",
-    "tau_t": "fea863843bb6e6914cbb9bdeda266d069283368194eb96cf6c49561b01253fd4",
-    "tau_strong": "bec6ddbe58abb50bec5f4eae302f26fa5c3ea302c2a3910c155f6ee31cc7a291",
-    "gamma": "b24a4f282c88c6a34891f6afb68d3c2dbda17bd5c9db44911e717f5fe7cea594",
-    "gamma_t": "626f1d8e7b27906fbc701fa7b8c7f368bdd83b120131e8eb7b9bd140ce798a3a",
-    "ec_t": "522c2d713de07a9a007b4b605895f76ab8ae595a838229501916546ff64f12c4",
+    "tau": "81a137cb5ca8c3d2923d353271f4af757f25a4dd8abf062d46b679bfa54d7665",
+    "tau_t": "07605f99fd84225054e9a0a0529754d82ff0b6a7b7051f556fe57f7647671a67",
+    "tau_strong": "fac4ffe092eadf17f1ff2556f66109e6b84946dd8516315dc93530b703cd523e",
+    "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
+    "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
+    "ec_t": "e61a51dc21eec8292805fc4a83e3a1fc45ef331809234340c60611e2c82ffbbe",
+    "tau.nodes": "404aa933e25e69618cb4be54826abb19a34ca542786b251e9d0b0e1b59cf1ffd",
+    "tau_t.nodes": "223c6f3002d8e16260b01e4c26782ed1071ce11e01b8ad5d57ef963d31a4aa7b",
+    "tau_strong.nodes": "4761df315be832109d2545c7f8eaf84933eb42001f14895e95ff25d96782ece3",
+    "gamma.nodes": "9c074fc314538e86976477953796f5fe959de9f3cc24752aaee64af5942ecba3",
+    "gamma_t.nodes": "4be4b473c2d213fa80680a1b8506a40ebe6fcc1d96566addac006b7f97343277",
+    "ec_t.nodes": "9cf8aa81d5327daf1b765e47fdbc9dd681b3c3a0fe140f2a7ab386cf6d1ef143",
 }
 
 _HYPERGRAPH_SOLVERS = {
@@ -74,15 +83,17 @@ def _images(H):
 
 
 def _outcome(fn, obj):
+    """((value, witness) or the InfeasibleError text, nodes or None)."""
     try:
         res = fn(obj)
     except InfeasibleError as exc:
-        return ("infeasible", str(exc))
-    return (res.value, res.witness, res.nodes)
+        return ("infeasible", str(exc)), None
+    return (res.value, res.witness), res.nodes
 
 
+@functools.cache
 def replay_digests() -> dict:
-    hashes = {inv: hashlib.sha256() for inv in EXPECTED if inv != "calls"}
+    hashes = {key: hashlib.sha256() for key in EXPECTED if key != "calls"}
     calls = 0
     for idx, H in enumerate(_population()):
         for image, X in _images(H):
@@ -90,14 +101,25 @@ def replay_digests() -> dict:
             runs.append(("ec_t", ec_t, two_section(X)))
             for inv, fn, obj in runs:
                 calls += 1
-                hashes[inv].update(repr((idx, image, _outcome(fn, obj))).encode())
-    return {"calls": calls, **{inv: h.hexdigest() for inv, h in hashes.items()}}
+                result, nodes = _outcome(fn, obj)
+                hashes[inv].update(repr((idx, image, result)).encode())
+                hashes[f"{inv}.nodes"].update(repr((idx, image, nodes)).encode())
+    return {"calls": calls, **{key: h.hexdigest() for key, h in hashes.items()}}
 
 
 def test_min_selection_replay():
-    assert replay_digests() == EXPECTED
+    """Values, witnesses and infeasibility messages."""
+    got = replay_digests()
+    assert {k: v for k, v in got.items() if not k.endswith(".nodes")} == \
+        {k: v for k, v in EXPECTED.items() if not k.endswith(".nodes")}
+
+
+def test_min_selection_replay_nodes():
+    got = replay_digests()
+    assert {k: v for k, v in got.items() if k.endswith(".nodes")} == \
+        {k: v for k, v in EXPECTED.items() if k.endswith(".nodes")}
 
 
 if __name__ == "__main__":
     for key, value in replay_digests().items():
-        print(f"    {key!r}: {value!r},")
+        print(f"    {json.dumps(key)}: {json.dumps(value)},")
