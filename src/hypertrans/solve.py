@@ -45,6 +45,15 @@ a free item together with a free neighbor, whichever meets more unmet
 requirements per pick.  On a path that incumbent is already optimal, and the
 root's coverage bound proves it.
 
+Siblings prune each other as well.  A node skips a candidate i of its
+branching requirement when a sibling j searched before it lies in every open
+requirement holding i and, under the side constraint, sees every neighbor of
+i other than j itself.  Any selection below i then turns into one of the
+same size below j by trading i for j: j meets the open requirements that i
+did, j has i's neighbor for its own, and whatever saw i sees j.  So the
+skipped subtree holds nothing smaller than what j's subtree already gave,
+and the search finds the same values and the same witnesses in fewer nodes.
+
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
 
@@ -327,6 +336,14 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     counts all of its requirements as open).  Every
     order is complete: each tried candidate is banned from later siblings,
     which only have to cover the requirement without it.
+
+    A candidate i is skipped, banned like a tried one, when an earlier tried
+    sibling j stands in for it: j lies in every open requirement holding i
+    (`holds[i] & opened & ~holds[j] == 0`) and, with adj, sees every
+    neighbor of i but itself.  Trading i for j maps each selection below i
+    to one of the same size below j, which was searched already, so no
+    incumbent is ever found below i and skipping it changes no result, only
+    the node count.
     """
     if not connected:
         # the root node's own tests, before any set-up: most small searches
@@ -439,11 +456,18 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
                 key=lambda i: (holds[i] & opened).bit_count(),
             )
         out = banned
+        tried = []   # the siblings searched so far
         for i in picks:
             b = 1 << i
-            dfs(sel | b, size + 1, out, still)
-            if size + 1 >= best_size:   # every later branch is at least as big
-                return
+            for j in tried:   # a searched sibling standing in for i skips it
+                if holds[i] & opened & ~holds[j] == 0 and (
+                        adj is None or adj[i] & ~adj[j] & ~(1 << j) == 0):
+                    break
+            else:
+                dfs(sel | b, size + 1, out, still)
+                if size + 1 >= best_size:   # later branches are no smaller
+                    return
+                tried.append(i)
             out |= b
             slack -= 1
             if slack < 0:    # too few candidates left for the deficit
@@ -521,9 +545,12 @@ def is_total_dominating(H: Hypergraph, S) -> bool:
     s = set(S)
     covered = set()
     for e in H.edges:
-        for v in e:
-            if s.intersection(e) - {v}:
-                covered.add(v)
+        hit = s.intersection(e)
+        # two members of S in e dominate all of e, one dominates the rest
+        if len(hit) > 1:
+            covered.update(e)
+        elif hit:
+            covered.update(set(e) - hit)
     return len(covered) == H.n
 
 

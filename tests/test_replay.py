@@ -35,12 +35,12 @@ EXPECTED = {
     "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
     "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
     "ec_t": "e61a51dc21eec8292805fc4a83e3a1fc45ef331809234340c60611e2c82ffbbe",
-    "tau.nodes": "404aa933e25e69618cb4be54826abb19a34ca542786b251e9d0b0e1b59cf1ffd",
-    "tau_t.nodes": "223c6f3002d8e16260b01e4c26782ed1071ce11e01b8ad5d57ef963d31a4aa7b",
-    "tau_strong.nodes": "4761df315be832109d2545c7f8eaf84933eb42001f14895e95ff25d96782ece3",
+    "tau.nodes": "3d1e1ab359ae8244d81082a51dccbe07450dff5f723b45606935880ac50c1160",
+    "tau_t.nodes": "7ca97776ea18e7fe35b966d99b5e22b309cc5c1f557904cdb886e3d963f5d47b",
+    "tau_strong.nodes": "e778b49d9bb0a289042ab3d5bfcd0256e8a5c4b4b3ed0af1f6e1c8a6221912f3",
     "gamma.nodes": "9c074fc314538e86976477953796f5fe959de9f3cc24752aaee64af5942ecba3",
     "gamma_t.nodes": "4be4b473c2d213fa80680a1b8506a40ebe6fcc1d96566addac006b7f97343277",
-    "ec_t.nodes": "9cf8aa81d5327daf1b765e47fdbc9dd681b3c3a0fe140f2a7ab386cf6d1ef143",
+    "ec_t.nodes": "5ed3d1b3292c872609cae9f1b3f843ed4bd0a425370d417489655f3a7b63365e",
 }
 
 _HYPERGRAPH_SOLVERS = {

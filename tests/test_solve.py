@@ -418,6 +418,7 @@ def test_tau_strong_nodes():
         assert is_strong_transversal(H, got.witness)
         nodes += got.nodes
     assert nodes <= TAU_STRONG_NODES_BEFORE // 2, nodes
+    assert nodes <= SIBLING_NODES["tau_strong"], nodes
 
 
 def test_demand_aware_packing():
@@ -473,6 +474,74 @@ def test_ec_t_cubic_nodes():
             assert is_total_edge_cover(G, got.witness)
             nodes += got.nodes
     assert nodes <= EC_T_CUBIC_NODES_BEFORE * 2 // 5, nodes
+
+
+def test_sibling_dominance():
+    """A pick is skipped when an already-searched sibling lies in every open
+    requirement holding it and, under the side constraint, sees every other
+    neighbor of it.  In the first two instances items 0 and 1 are twins, in
+    the same requirements: tau_strong keeps both (at demand 2 an item goes
+    only when two others lie in all its edges), and tau_t keeps both (each
+    needs the other as its neighbor).  So after 0's subtree the root skips 1,
+    one node fewer than searching it (5 and 4 nodes without the rule).  In
+    the graph, dropping the neighbor test loses the optimum (5 for 4)."""
+    for obj, inv, value, nodes in (
+        (hypergraph(5, [[0, 1, 2], [0, 1, 3], [0, 1, 4], [2, 3, 4]]),
+         "tau_strong", 4, 4),
+        (hypergraph(7, [[0, 1, 3], [2, 4, 5], [2, 4, 6]]), "tau_t", 4, 3),
+        (graph(6, [(0, 2), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3)]),
+         "ec_t", 4, None),
+    ):
+        got = solve(obj, inv)
+        assert got.value == brute_force_oracle(obj, inv).value == value
+        assert _DEFINITIONS[inv](obj, got.witness)
+        if nodes is not None:
+            assert got.nodes == nodes, (inv, got.nodes)
+
+
+# Search nodes on fixed populations before the sibling rule, and with it:
+# tau on random_hypergraph(3, 60, 50, s, require_class=True), s = 0..9, 2,997
+# and 2,018; gamma_t on the family_Fk_star expansions of five 4-uniform
+# 6-vertex bases drawn by _family_base from random.Random(808), 4,092 and
+# 2,042; tau_strong on the population of test_tau_strong_nodes, 7,825 and
+# 6,020 (checked there).  The ceilings are the counts with the rule.
+SIBLING_NODES = {"tau": 2_018, "gamma_t": 2_042, "tau_strong": 6_020}
+
+
+def test_sibling_dominance_nodes():
+    rng = random.Random(808)
+    populations = {
+        "tau": [(random_hypergraph(3, 60, 50, s, require_class=True), want)
+                for s, want in enumerate((15, 15, 16, 15, 17, 17, 16, 16, 17,
+                                          17))],
+        "gamma_t": [(family_Fk_star(_family_base(rng, 4, 6, True), 4)
+                     .hypergraph, 12) for _ in range(5)],
+    }
+    for inv, population in populations.items():
+        nodes = 0
+        for H, want in population:
+            got = solve(H, inv)
+            assert got.value == want == len(got.witness)
+            assert _DEFINITIONS[inv](H, got.witness)
+            nodes += got.nodes
+        assert nodes <= SIBLING_NODES[inv], (inv, nodes)
+
+
+def test_total_dominating_matches_definition():
+    """Every vertex has a member of S other than itself in a common edge,
+    checked literally against the predicate on random (H, S), dominating or
+    not."""
+    rng = random.Random(4711)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        H = _rand_hg(rng, n_max=9, m_max=7)
+        S = [v for v in range(H.n) if rng.random() < rng.random()]
+        want = all(any(v in e and u != v for e in H.edges for u in e
+                       if u in S)
+                   for v in range(H.n))
+        assert is_total_dominating(H, S) == want, (H, S)
+        seen[want] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def test_chain_tau_le_taut_le_taustrong():

@@ -2,16 +2,16 @@
 
     python3 tools/bench_pairs.py --parent TREE --change TREE --label NAME \\
         --pairs pool-enumerate:1-10 --pairs exact-solve:1-4 \\
-        --traced pool-enumerate:5 --change-note "what the change does"
+        --traced pool-enumerate:5 --traced exact-solve:1 \\
+        --change-note "what the change does"
 
 Each tree is a checkout (for example made with `git archive`) holding
 `perfbench/run.py` and `src/`.  Each listed seed gives one pair: both trees
 run back to back at that seed, the parent first for the 1st, 3rd, 5th ...
 seed of a workload and the change first for the others, each for
-BENCHMARK.json's run_seconds.  A traced pair runs once per side with
---trace 1, the parent first.  The output has the layout of the committed
-BENCH files:
-per workload and end-to-end metric, the quartiles of each side, the runs,
+BENCHMARK.json's run_seconds.  A traced pair, at most one per workload,
+runs once per side with --trace 1, the parent first.  The output has the
+layout of the committed BENCH files: per workload and end-to-end metric, the quartiles of each side, the runs,
 the wins and losses of the change, the median gap and the parent's IQR;
 per traced workload, every per-layer metric of each side.  Standard library
 only; the run lines go to stderr as they finish.
@@ -93,13 +93,15 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--label", required=True)
     ap.add_argument("--pairs", type=_seeds, action="append", default=[])
-    ap.add_argument("--traced", type=_seeds, metavar="WORKLOAD:SEED")
+    ap.add_argument("--traced", type=_seeds, action="append", default=[],
+                    metavar="WORKLOAD:SEED")
     ap.add_argument("--change-note", default="")
     ap.add_argument("--parent-commit", default=None,
                     help="recorded as is; defaults to the parent run's git sha")
     args = ap.parse_args(argv)
-    if args.traced and len(args.traced[1]) != 1:
-        ap.error("--traced takes one WORKLOAD:SEED")
+    traced = dict(args.traced)
+    if len(traced) != len(args.traced) or any(len(s) != 1 for s in traced.values()):
+        ap.error("--traced takes one WORKLOAD:SEED per workload")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     end_to_end = {d["name"]: d for d in declared["end_to_end"]}
@@ -153,16 +155,15 @@ def main(argv=None) -> int:
                     "reads better",
         "workloads": workloads,
     }
-    if args.traced:
-        workload, (seed,) = args.traced
+    if traced:
         record["traced"] = {
             "command": command.format(trace=1),
             "note": "one traced run per side, parent first; single runs, "
                     "so host drift shows in trace.overhead_frac",
-            workload: {"seed": seed, **{
+            **{workload: {"seed": seed, **{
                 side: {k: round(m["value"], 4)
                        for k, m in run(side, workload, seed, 1)["metrics"].items()}
-                for side in SIDES}},
+                for side in SIDES}} for workload, (seed,) in traced.items()},
         }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
