@@ -11,10 +11,11 @@ run back to back at that seed, the parent first for the 1st, 3rd, 5th ...
 seed of a workload and the change first for the others, each for
 BENCHMARK.json's run_seconds.  A traced pair, at most one per workload,
 runs once per side with --trace 1, the parent first.  The output has the
-layout of the committed BENCH files: per workload and end-to-end metric, the quartiles of each side, the runs,
-the wins and losses of the change, the median gap and the parent's IQR;
-per traced workload, every per-layer metric of each side.  Standard library
-only; the run lines go to stderr as they finish.
+layout of the committed BENCH files: per workload and end-to-end metric,
+the quartiles of each side, the runs, the wins and losses of the change,
+the median gap and the parent's IQR; per traced workload, every per-layer
+metric of each side.  Standard library only; the run lines go to stderr as
+they finish.
 """
 
 from __future__ import annotations
