@@ -45,7 +45,7 @@ def split_seed(seed: int, index: int) -> int:
 
 
 class SplitMix64:
-    """Seedable counter-based generator; .split(i) gives a child stream."""
+    """Seedable counter-based generator."""
 
     def __init__(self, seed: int):
         self.state = seed & _M64
@@ -75,9 +75,6 @@ class SplitMix64:
             j = i + self.randrange(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
-
-    def split(self, index: int) -> "SplitMix64":
-        return SplitMix64(split_seed(self.state, index))
 
 
 @dataclass(frozen=True)
@@ -496,11 +493,6 @@ def _strong_kernel(masks, n: int, p: float):
     return draw
 
 
-def _strong_parts(masks, n: int, p: float, rng: SplitMix64):
-    """The kernel's one trial."""
-    return _strong_kernel(masks, n, p)(rng)
-
-
 def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
     """Two-or-more vertices per edge via one Bernoulli pass plus repairs.
 
@@ -509,7 +501,7 @@ def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
     hit once their lowest unkept vertex.  Reproducible per (H, c, seed).
     """
     _, p = _strong_params(H, c)
-    x1, x2, x3 = _strong_parts(H.edge_masks(), H.n, p, SplitMix64(seed))
+    x1, x2, x3 = _strong_kernel(H.edge_masks(), H.n, p)(SplitMix64(seed))
     out = tuple(bit_indices(x1 | x2 | x3))
     if not is_strong_transversal(H, out):
         raise RuntimeError("construction produced an invalid strong transversal")

@@ -194,7 +194,7 @@ def _thin(reqs, adj, allowed, demand) -> int:
     return kept
 
 
-def _greedy(reqs, adj, allowed, holds=None) -> int:
+def _greedy(reqs, adj, allowed, holds) -> int:
     """A selection meeting every requirement, raising InfeasibleError when
     no usable item can take it further.
 
@@ -207,10 +207,8 @@ def _greedy(reqs, adj, allowed, holds=None) -> int:
     - a free item that sees no selected item, together with a free usable
       neighbor, at the gain of the pair.
     A gain is the number of unmet requirements met, read from holds,
-    _holds(reqs, allowed) when not given.
+    _holds(reqs, allowed).
     """
-    if holds is None:
-        holds = _holds(reqs, allowed)
     sel = 0
     unmet = (1 << len(reqs)) - 1   # bits of the requirements short of need
     if adj is not None:
@@ -337,37 +335,28 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     order is complete: each tried candidate is banned from later siblings,
     which only have to cover the requirement without it.
 
-    A candidate i is skipped, banned like a tried one, when an earlier tried
+    The search runs on one explicit stack, so its depth costs no Python
+    frames.  A branching node puts a generator of its children on the stack,
+    and the loop at the end takes the next child from the top generator,
+    evaluates it, and pushes that child's own generator when it branches in
+    turn.  A generator resumes only once the subtree of its last child is
+    done, and then yields no more children when that subtree found a
+    selection of the child's size, since later siblings are no smaller.  It
+    also drops a candidate i, banned like a tried one, when an earlier tried
     sibling j stands in for it: j lies in every open requirement holding i
     (`holds[i] & opened & ~holds[j] == 0`) and, with adj, sees every
     neighbor of i but itself.  Trading i for j maps each selection below i
     to one of the same size below j, which was searched already, so no
     incumbent is ever found below i and skipping it changes no result, only
-    the node count.
+    the node count.  Group searches are nested `_search` calls, as deep as
+    the splits, not the selection.
     """
-    if not connected:
-        # the root node's own tests, before any set-up: most small searches
-        # end there, their packing bound already reaching the incumbent
-        root = []
-        for mask, need in reqs:
-            cand = mask & allowed
-            slack = cand.bit_count() - need
-            if slack < 0:
-                return best_size, None, 1
-            root.append((slack, cand, need))
-        if not root:
-            return 0, 0, 1
-        if _packing(root) >= best_size:
-            return best_size, None, 1
     best_mask = None
     nodes = 0
-    every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
-    # the coverage bound reads holds at every node; a hitting set reads it
-    # only to rank candidates, which many small ones never do
-    if holds is None and not hitting:
-        holds = _holds(reqs, allowed)
 
-    def dfs(sel: int, size: int, banned: int, was_open):
+    def node(sel: int, size: int, banned: int, was_open):
+        """Count and evaluate a node; its children's generator when it
+        branches, else None."""
         nonlocal nodes, best_mask, best_size
         nodes += 1
         free = allowed & ~banned & ~sel
@@ -399,19 +388,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
         if not active:
             best_mask, best_size = sel, size
             return
-        bound = size   # plus _packing(active), inline: this loop is hot
-        used = 0
-        for _, cand, d in sorted(active, key=_SLACK):
-            shared = cand & used
-            if shared:
-                if d == 1:   # met by a shared candidate, no count needed
-                    continue
-                d -= shared.bit_count()
-                if d <= 0:
-                    continue
-            bound += d
-            used |= cand
-        if bound >= best_size:
+        if size + _packing(active) >= best_size:
             return
         if hitting:
             groups = _components([c for _, c, _ in active])
@@ -441,14 +418,14 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
             deficit = sum(d for _, _, d in active)
             if sum(scores[:best_size - size - 1]) < 2 * deficit:
                 return
-        branch(sel, size, banned, active, still, opened)
+        return branch(sel, size, banned, active, still, opened)
 
     def branch(sel: int, size: int, banned: int, active, still, opened):
         nonlocal holds
         slack, cand, d = min(active, key=_SLACK)
         picks = bit_indices(cand)
         if slack:   # else only the first pick is ever tried
-            if holds is None:
+            if holds is None:   # a group search's, built when first ranked
                 holds = _holds(reqs, allowed)
             # most open requirements first, the lower index on ties
             picks = sorted(
@@ -464,7 +441,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
                         adj is None or adj[i] & ~adj[j] & ~(1 << j) == 0):
                     break
             else:
-                dfs(sel | b, size + 1, out, still)
+                yield sel | b, size + 1, out, still
                 if size + 1 >= best_size:   # later branches are no smaller
                     return
                 tried.append(i)
@@ -501,11 +478,20 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
             total += gsize
         best_mask, best_size = sel, total
 
+    every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
     if connected:
         root = [(mask.bit_count() - need, mask, need) for mask, need in reqs]
-        branch(0, 0, 0, root, every, (1 << len(reqs)) - 1)
+        stack = [branch(0, 0, 0, root, every, (1 << len(reqs)) - 1)]
     else:
-        dfs(0, 0, 0, every)
+        stack = [iter([(0, 0, 0, every)])]   # the root, yielded once
+    while stack:
+        for child in stack[-1]:   # resumes the top generator where it was
+            children = node(*child)
+            if children is not None:
+                stack.append(children)
+                break
+        else:
+            stack.pop()
     return best_size, best_mask, nodes
 
 

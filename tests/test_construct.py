@@ -12,8 +12,8 @@ from hypertrans.construct import (
     SplitMix64,
     _draw_threshold,
     _repair_isolated,
+    _strong_kernel,
     _strong_params,
-    _strong_parts,
     _trial_rows,
     p3_packing,
     randomized_strong_transversal,
@@ -312,7 +312,8 @@ def test_strong_trials_jobs_equivalence():
 
 
 def _strong_parts_reference(masks, n, p, rng):
-    """_strong_parts as first written: one rng.random() < p per vertex."""
+    """The kernel's one trial as first written: one rng.random() < p per
+    vertex."""
     x1 = 0
     for v in range(n):
         if rng.random() < p:
@@ -368,7 +369,7 @@ def test_inline_draw_matches_random_below_p():
             want, got = SplitMix64(_state_before(u)), SplitMix64(_state_before(u))
             assert want.next_u64() == u
             want.state = got.state
-            assert _strong_parts([1], 1, p, got) \
+            assert _strong_kernel([1], 1, p)(got) \
                 == _strong_parts_reference([1], 1, p, want)
             assert got.state == want.state
         n = 8 + idx % 60
@@ -376,7 +377,7 @@ def test_inline_draw_matches_random_below_p():
                  for _ in range(draws.randint(1, 12))]
         seed = split_seed(31, idx)
         want, got = SplitMix64(seed), SplitMix64(seed)
-        assert _strong_parts(masks, n, p, got) \
+        assert _strong_kernel(masks, n, p)(got) \
             == _strong_parts_reference(masks, n, p, want)
         assert got.state == want.state
 
@@ -413,7 +414,7 @@ def test_kernel_matches_reference_draws():
     for idx, p in enumerate(_draw_probabilities()):
         t = _draw_threshold(p)
         for j, (H, masks) in enumerate(cases):
-            draw = construct._strong_kernel(masks, H.n, p)
+            draw = _strong_kernel(masks, H.n, p)
             # a random trial, then the draws either side of the threshold
             # placed at lane v
             v = idx % H.n

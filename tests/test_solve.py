@@ -1,15 +1,19 @@
+import inspect
 import itertools
 import os
 import random
+import sys
 
 import pytest
 
+from hypertrans.construct import split_seed
 from hypertrans.hcore import (
     bit_indices, class_check, hypergraph, mask_neighborhoods,
 )
 from hypertrans.solve import (
     InfeasibleError,
     _greedy,
+    _holds,
     _min_selection,
     brute_force_oracle,
     ec_t,
@@ -316,13 +320,14 @@ def test_oracle_sweep():
 def test_greedy_raises_when_nothing_can_be_picked():
     # three items wanted where two exist
     with pytest.raises(InfeasibleError):
-        _greedy([(0b11, 3)], None, 0b11)
+        _greedy([(0b11, 3)], None, 0b11, _holds([(0b11, 3)], 0b11))
     with pytest.raises(InfeasibleError):
         _min_selection(2, [(0b11, 3)])
     # the single edge {0, 1} under the side constraint with item 0 dropped,
     # as dominance without its neighbor guard would: 1 is left alone
     with pytest.raises(InfeasibleError):
-        _greedy([(0b11, 1)], [0b10, 0b01], 0b10)
+        _greedy([(0b11, 1)], [0b10, 0b01], 0b10,
+                _holds([(0b11, 1)], 0b10))
     assert _min_selection(2, [(0b11, 1)], total=True)[:2] == (2, 0b11)
 
 
@@ -354,17 +359,18 @@ def test_side_constraint_greedy():
         outcomes[feasible] += 1
         if not feasible:
             with pytest.raises(InfeasibleError):
-                _greedy(reqs, adj, allowed)
+                _greedy(reqs, adj, allowed, _holds(reqs, allowed))
             continue
-        sel = _greedy(reqs, adj, allowed)
+        sel = _greedy(reqs, adj, allowed, _holds(reqs, allowed))
         assert sel & ~allowed == 0
         assert all(m & sel for m in masks)
         assert all(adj[i] & sel for i in bit_indices(sel))
     assert min(outcomes.values()) >= 50, outcomes
     # stuck after a first move: the pair {0, 1} meets the first
     # requirement, and nothing usable is left for the second
+    reqs = [(0b011, 1), (0b100, 1)]
     with pytest.raises(InfeasibleError):
-        _greedy([(0b011, 1), (0b100, 1)], [0b010, 0b001, 0], 0b011)
+        _greedy(reqs, [0b010, 0b001, 0], 0b011, _holds(reqs, 0b011))
 
 
 def test_side_constraint_on_the_100_vertex_path():
@@ -525,6 +531,23 @@ def test_sibling_dominance_nodes():
             assert _DEFINITIONS[inv](H, got.witness)
             nodes += got.nodes
         assert nodes <= SIBLING_NODES[inv], (inv, nodes)
+
+
+def test_search_depth_adds_no_python_frames():
+    """The exact search keeps its path on a stack of its own.  This
+    tau_strong optimum has 18 picks, 36 Python frames deep had each pick
+    cost two, yet the solve runs within 30 spare frames and gives the same
+    result as at the normal limit."""
+    H = random_hypergraph(4, 40, 40, split_seed(7, 3), require_class=True)
+    want = tau_strong(H)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        got = tau_strong(H)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (got.value, got.witness, got.nodes) \
+        == (want.value, want.witness, want.nodes)
 
 
 def test_total_dominating_matches_definition():
