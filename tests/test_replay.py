@@ -29,18 +29,18 @@ INSTANCES = 240
 
 EXPECTED = {
     "calls": 4110,
-    "tau": "81a137cb5ca8c3d2923d353271f4af757f25a4dd8abf062d46b679bfa54d7665",
+    "tau": "3ee2c5e759966aeb07315f97438db73d213b135d06ee6bc2db5277ff419183f1",
     "tau_t": "07605f99fd84225054e9a0a0529754d82ff0b6a7b7051f556fe57f7647671a67",
     "tau_strong": "fac4ffe092eadf17f1ff2556f66109e6b84946dd8516315dc93530b703cd523e",
     "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
     "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
     "ec_t": "e61a51dc21eec8292805fc4a83e3a1fc45ef331809234340c60611e2c82ffbbe",
-    "tau.nodes": "3d1e1ab359ae8244d81082a51dccbe07450dff5f723b45606935880ac50c1160",
-    "tau_t.nodes": "7ca97776ea18e7fe35b966d99b5e22b309cc5c1f557904cdb886e3d963f5d47b",
-    "tau_strong.nodes": "e778b49d9bb0a289042ab3d5bfcd0256e8a5c4b4b3ed0af1f6e1c8a6221912f3",
-    "gamma.nodes": "9c074fc314538e86976477953796f5fe959de9f3cc24752aaee64af5942ecba3",
-    "gamma_t.nodes": "4be4b473c2d213fa80680a1b8506a40ebe6fcc1d96566addac006b7f97343277",
-    "ec_t.nodes": "5ed3d1b3292c872609cae9f1b3f843ed4bd0a425370d417489655f3a7b63365e",
+    "tau.nodes": "7b3248f598899b05c15d9be72c86df1b6cd66353a8a7d7beda2dca8b86d74243",
+    "tau_t.nodes": "6ea68da9e872ce88d187dcd48d13deac63bdbdb42e9ddcc9253ed79e6af623ad",
+    "tau_strong.nodes": "4d80633536b73bc6dd928149183fc757cd2e82731cb54773a489fb4d0a363230",
+    "gamma.nodes": "784f87a4d7c6267389aa7ef07dbf81cb4377133c7ddd2790ab753a7d68a2e729",
+    "gamma_t.nodes": "5aa56bfe1e7e2c9d179b41e4bf1000f5c5744ad5d2671ca67ceae67cead5bfea",
+    "ec_t.nodes": "cde4813a4ffb123899be3874158dacd350198f2070bf486b026227fd3b0cb63d",
 }
 
 _HYPERGRAPH_SOLVERS = {
