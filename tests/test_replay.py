@@ -1,13 +1,15 @@
 """Replay gate for the exact core: a fixed, seeded population of small
 instances, in the benchmark pool's shapes (k 2..6, n <= 11, m <= 6), runs
 through all six invariants, and so does each instance's open-neighborhood
-image and two-section image.  Each invariant gets two sha256 digests: one
-over every outcome, (value, witness) or the InfeasibleError text, and one
-over the node counts.  They pin the values, the witnesses and the node
+image and two-section image.  Each invariant gets three sha256 digests: one
+over every outcome, (value, witness) or the InfeasibleError text, one over
+the values alone, the value or the InfeasibleError text with no witness, and
+one over the node counts.  They pin the values, the witnesses and the node
 counts apart, so a change to the reductions, the greedy incumbent or the
 branching order that moves any of them fails here, and a change that is
-meant to prune more can show that it moved only the nodes.  A change meant
-to move them updates EXPECTED and says why in CHANGES.md.
+meant to prune more can show that it moved only the nodes, or only the
+nodes and some witnesses.  A change meant to move them updates EXPECTED and
+says why in CHANGES.md.
 
 Run as a script (`PYTHONPATH=src python3 tests/test_replay.py`) it prints
 the digests.
@@ -35,6 +37,12 @@ EXPECTED = {
     "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
     "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
     "ec_t": "e61a51dc21eec8292805fc4a83e3a1fc45ef331809234340c60611e2c82ffbbe",
+    "tau.values": "2cadaf409b9908b3110d4aa864bec24a59e679df95e476a2310abf264ca3e513",
+    "tau_t.values": "1266d92c8fc20fc3f1c45ddf511ec37aca070ef9ed753404771243a442e27eaf",
+    "tau_strong.values": "24c706c1a30cc1a3dce7394256d7996661ead78a7c44016f1a524ef773077e49",
+    "gamma.values": "55d4245322c307e815526d1aef4984fdb5a97459f223caec5b8bbce8542bb01d",
+    "gamma_t.values": "0a6476ff19bc2c3f80aea34bf305b77b9b54aee89529cf8fdb6259dd9dfbb89e",
+    "ec_t.values": "f37949f705968102cd01fb40a176ae3b96ae14df2562a0b67d6bdfec1da1ca05",
     "tau.nodes": "7b3248f598899b05c15d9be72c86df1b6cd66353a8a7d7beda2dca8b86d74243",
     "tau_t.nodes": "6ea68da9e872ce88d187dcd48d13deac63bdbdb42e9ddcc9253ed79e6af623ad",
     "tau_strong.nodes": "4d80633536b73bc6dd928149183fc757cd2e82731cb54773a489fb4d0a363230",
@@ -103,21 +111,30 @@ def replay_digests() -> dict:
                 calls += 1
                 result, nodes = _outcome(fn, obj)
                 hashes[inv].update(repr((idx, image, result)).encode())
+                value = result if nodes is None else result[0]
+                hashes[f"{inv}.values"].update(
+                    repr((idx, image, value)).encode())
                 hashes[f"{inv}.nodes"].update(repr((idx, image, nodes)).encode())
     return {"calls": calls, **{key: h.hexdigest() for key, h in hashes.items()}}
 
 
-def _part(digests, nodes):
-    return {k: v for k, v in digests.items() if k.endswith(".nodes") == nodes}
+def _part(digests, suffix):
+    return {k: v for k, v in digests.items()
+            if k.partition(".")[2] == suffix}
 
 
 def test_min_selection_replay():
     """Values, witnesses and infeasibility messages."""
-    assert _part(replay_digests(), False) == _part(EXPECTED, False)
+    assert _part(replay_digests(), "") == _part(EXPECTED, "")
+
+
+def test_min_selection_replay_values():
+    """Values and infeasibility messages, whichever optimum is the witness."""
+    assert _part(replay_digests(), "values") == _part(EXPECTED, "values")
 
 
 def test_min_selection_replay_nodes():
-    assert _part(replay_digests(), True) == _part(EXPECTED, True)
+    assert _part(replay_digests(), "nodes") == _part(EXPECTED, "nodes")
 
 
 if __name__ == "__main__":
