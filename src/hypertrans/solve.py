@@ -59,11 +59,13 @@ its size plus its packing bound is the incumbent less one, a selection below
 it that beats the incumbent adds exactly that bound in picks, and the
 packing counts all of them among the candidates of the requirements it
 counted; each other free item has reduced cost 1 against a gap of 0.  So the
-node keeps only those candidates in its requirements before it splits,
-bounds coverage and branches, and its children re-derive their free items
-from the banned ones as before.  That took exact-solve from 16,707 nodes to
-10,621 with the same values, 7 of its 110 witnesses moving to another
-optimum.
+node keeps only those candidates in its requirements and walks them again:
+it prunes when that walk reaches the incumbent, keeps restricting while the
+walk reads the same bound, and stops when it reads less, since a walk that
+reads less need not count every pick.  Then it splits, bounds coverage and
+branches, and its children re-derive their free items from the banned ones
+as before.  One restriction took exact-solve from 16,707 nodes to 10,621,
+and restricting to a fixpoint to 8,147, all with the same values.
 
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
@@ -294,7 +296,10 @@ def _packing(active) -> tuple[int, int]:
 
     Every counted pick lies in `used`: an entry's d picks outside the `used`
     of its turn lie among its own candidates, which then join it.  So a
-    selection that adds exactly lb picks adds them all inside `used`.
+    selection that adds exactly lb picks adds them all inside `used`.  That
+    holds only for the lb of this walk: being greedy by slack, the walk can
+    read less on entries whose candidates were cut down, and a selection
+    adding more picks than it read can put the rest outside its `used`.
     """
     lb = 0
     used = 0
@@ -373,13 +378,23 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     and, by the bound, at least lb, so exactly lb; the walk counts lb picks
     inside `used` (see `_packing`), so none lies outside.  The node sets
     free &= used, restricts each entry's candidates to `used` and recomputes
-    its slack, then splits, bounds coverage and branches on the restricted
-    entries: every selection it can miss adds an item outside `used`, so it
-    does not beat the incumbent.  Each child gets banned and the open
-    requirements as before and re-derives its free items.  If best_size
-    falls while the node's generator is live, a selection beating the new
-    incumbent would add fewer than lb picks, which the bound rules out, so a
-    smaller incumbent only tightens the rule.
+    its slack: every selection it can miss adds an item outside `used`, so
+    it does not beat the incumbent.  Then it walks the restricted entries
+    again, for lb2 and a new `used`.  Every selection that beats the
+    incumbent meets the restricted entries with its lb picks, so it adds at
+    least lb2 of them: the node returns when size + lb2 reaches best_size.
+    Else lb2 <= lb.  When lb2 == lb, the argument above holds for the new
+    walk, so the node restricts to its `used` in turn, and so on while the
+    restriction still drops a free item.  When lb2 < lb it stops there and
+    keeps the last restriction: a selection adding lb picks has lb - lb2 of
+    them that the new walk did not count, and those can lie outside its
+    `used`.  Either way the entries the node goes on with pack below the
+    incumbent, and it splits, bounds coverage and branches on them.  Each
+    child gets banned and the open requirements as before and re-derives
+    its free items.  If best_size falls while the node's generator is live,
+    a selection beating the new incumbent would add fewer than lb picks,
+    which the bound rules out, so a smaller incumbent only tightens the
+    rule.
     """
     best_mask = None
     nodes = 0
@@ -426,12 +441,20 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
             # picks, all inside used, so the rest of this node looks only
             # there.  An entry the walk counted lies in used already, and one
             # it passed over kept at least its deficit there, so no slack
-            # goes negative.
-            free &= used
-            for k, (_, cand, d) in enumerate(active):
-                if cand & ~used:
-                    cand &= used
-                    active[k] = (cand.bit_count() - d, cand, d)
+            # goes negative.  The restricted entries are walked again: a
+            # walk reaching the incumbent prunes, one reading lb gives a
+            # used that holds every pick too, and one reading less does not.
+            while free & ~used:
+                free &= used
+                for k, (_, cand, d) in enumerate(active):
+                    if cand & ~used:
+                        cand &= used
+                        active[k] = (cand.bit_count() - d, cand, d)
+                lb2, used = _packing(active)
+                if size + lb2 >= best_size:
+                    return
+                if lb2 < lb:
+                    break
         if hitting:
             groups = _components([c for _, c, _ in active])
             if len(groups) > 1:
@@ -496,10 +519,9 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
         # each group may use the incumbent minus what the others need at
         # least: their exact value once solved, their packing bound until
         # then.  The groups' bounds add up to the packing bound of the
-        # node's entries.  The caller found that below the incumbent, except
-        # that at zero gap it restricted the entries after the test, which
-        # can raise their bound to the incumbent: then nothing here beats
-        # it.  Otherwise total starts below the incumbent, and a group
+        # node's entries as they reach here, which the caller found below
+        # the incumbent (at zero gap by its last walk of the restricted
+        # entries).  So total starts below the incumbent, and a group
         # search returns less than its cap, so total stays below it after
         # each group.  Hence every group's bound is below its cap, and a
         # group's own root packing check could never prune.
@@ -507,8 +529,6 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
         members = [[a for a in active if a[1] & g] for g in groups]
         bounds = [_packing(m)[0] for m in members]
         total = size + sum(bounds)
-        if total >= best_size:
-            return
         for g, m, lb in zip(groups, members, bounds):
             total -= lb
             if len(m) == 1:   # one requirement: any one of its items

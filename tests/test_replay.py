@@ -31,7 +31,7 @@ INSTANCES = 240
 
 EXPECTED = {
     "calls": 4110,
-    "tau": "3ee2c5e759966aeb07315f97438db73d213b135d06ee6bc2db5277ff419183f1",
+    "tau": "81a137cb5ca8c3d2923d353271f4af757f25a4dd8abf062d46b679bfa54d7665",
     "tau_t": "07605f99fd84225054e9a0a0529754d82ff0b6a7b7051f556fe57f7647671a67",
     "tau_strong": "fac4ffe092eadf17f1ff2556f66109e6b84946dd8516315dc93530b703cd523e",
     "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
@@ -43,12 +43,12 @@ EXPECTED = {
     "gamma.values": "55d4245322c307e815526d1aef4984fdb5a97459f223caec5b8bbce8542bb01d",
     "gamma_t.values": "0a6476ff19bc2c3f80aea34bf305b77b9b54aee89529cf8fdb6259dd9dfbb89e",
     "ec_t.values": "f37949f705968102cd01fb40a176ae3b96ae14df2562a0b67d6bdfec1da1ca05",
-    "tau.nodes": "7b3248f598899b05c15d9be72c86df1b6cd66353a8a7d7beda2dca8b86d74243",
-    "tau_t.nodes": "6ea68da9e872ce88d187dcd48d13deac63bdbdb42e9ddcc9253ed79e6af623ad",
-    "tau_strong.nodes": "4d80633536b73bc6dd928149183fc757cd2e82731cb54773a489fb4d0a363230",
-    "gamma.nodes": "784f87a4d7c6267389aa7ef07dbf81cb4377133c7ddd2790ab753a7d68a2e729",
-    "gamma_t.nodes": "5aa56bfe1e7e2c9d179b41e4bf1000f5c5744ad5d2671ca67ceae67cead5bfea",
-    "ec_t.nodes": "cde4813a4ffb123899be3874158dacd350198f2070bf486b026227fd3b0cb63d",
+    "tau.nodes": "5c34f7d5081018af5aa04f879c3bac13856b7cc9a8ebc271bd3f0aa51898fac9",
+    "tau_t.nodes": "51b06efe3bd4201c7d10c7ecc63cf299e530cde262c3fa0556064283310f11a6",
+    "tau_strong.nodes": "21c6e4649d0881d4e891725a8bdf6d3496a6ddf0893a3c65e44fc24ef04f1ddd",
+    "gamma.nodes": "b37bacc8913851ba6895e062e649cbc7e3c06514d22e364113f1a5b8a6c9bf05",
+    "gamma_t.nodes": "0e10fd1d58b3a0394164d28170169f2ebb141a7d326e3585ce1858567a5d35a8",
+    "ec_t.nodes": "09742525b35624dc206ef26a5adf4e10bafc9e231579208ca5208698a5b93934",
 }
 
 _HYPERGRAPH_SOLVERS = {

@@ -498,10 +498,54 @@ def test_zero_gap_fixing_matches_oracle(monkeypatch):
     assert min(fired.values()) >= 50, fired
 
 
+def test_zero_gap_rewalk_reading_lower_stops_restricting(monkeypatch):
+    """At zero gap a node walks its restricted entries again and restricts
+    once more while the walk reads the same bound.  The walk is greedy by
+    slack, so a restricted walk can read less than the first one, and its
+    used then need not hold every pick: restricting to it loses optima.  In
+    the fixed instance that restriction gave tau 4 for 3.  The random ones
+    are those where some node's re-walk read less than the walk before it,
+    found by a spy on _packing (a re-walk gets the same list of entries)."""
+    H = hypergraph(12, [[0, 2, 3, 7], [0, 2, 7, 11], [0, 5], [1, 3],
+                        [1, 4, 7, 10], [2, 4], [3, 5, 6, 10]])
+    assert tau(H).value == brute_force_oracle(H, "tau").value == 3
+    module = sys.modules["hypertrans.solve"]
+    packing = module._packing
+    last = [None, 0]   # the entries of the latest walk, kept alive, and lb
+    read_lower = []
+
+    def spy(active):
+        lb, used = packing(active)
+        if active is last[0] and lb < last[1]:
+            read_lower.append(True)
+        last[:] = [active, lb]
+        return lb, used
+
+    monkeypatch.setattr(module, "_packing", spy)
+    rng = random.Random(4)
+    fired = dict.fromkeys(_DEFINITIONS, 0)
+    for _ in range(3000):
+        H, G = _rand_hg(rng, n_max=14, m_max=10), _rand_graph(rng, n_max=9)
+        for inv in fired:
+            obj = G if inv == "ec_t" else H
+            read_lower.clear()
+            try:
+                solve(obj, inv)
+            except InfeasibleError:
+                continue
+            if read_lower:
+                fired[inv] += 1
+                _assert_matches_oracle(obj, inv)
+    assert sum(fired.values()) >= 40, fired
+
+
 # tau_t search nodes on random_hypergraph(3, 100, 85, split_seed(7, s),
 # require_class=True) for s = 0, 1 before zero-gap fixing: 14,447 + 9,114.
-# Fixing must at least halve them.
+# Fixing must at least halve them.  With one restriction per node they took
+# 7,195; restricting again while the restricted walk reads the same bound,
+# and pruning when it reaches the incumbent, must bring them to 6,000.
 TAU_T_ZERO_GAP_NODES_BEFORE = 23_561
+TAU_T_ZERO_GAP_FIXPOINT_NODES = 6_000
 
 
 def test_zero_gap_fixing_nodes():
@@ -513,6 +557,7 @@ def test_zero_gap_fixing_nodes():
         assert is_total_transversal(H, got.witness)
         nodes += got.nodes
     assert nodes <= TAU_T_ZERO_GAP_NODES_BEFORE // 2, nodes
+    assert nodes <= TAU_T_ZERO_GAP_FIXPOINT_NODES, nodes
 
 
 # ec_t search nodes on three pairing-model cubic graphs for each n = 12, 14,
