@@ -36,7 +36,7 @@ EXPECTED = {
     "tau_strong": "fac4ffe092eadf17f1ff2556f66109e6b84946dd8516315dc93530b703cd523e",
     "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
     "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
-    "ec_t": "e61a51dc21eec8292805fc4a83e3a1fc45ef331809234340c60611e2c82ffbbe",
+    "ec_t": "67547aa2398d3d96edcc46d0a782e5704e535e6390f0b99946f4279f7f6a67f2",
     "tau.values": "2cadaf409b9908b3110d4aa864bec24a59e679df95e476a2310abf264ca3e513",
     "tau_t.values": "1266d92c8fc20fc3f1c45ddf511ec37aca070ef9ed753404771243a442e27eaf",
     "tau_strong.values": "24c706c1a30cc1a3dce7394256d7996661ead78a7c44016f1a524ef773077e49",
@@ -44,11 +44,11 @@ EXPECTED = {
     "gamma_t.values": "0a6476ff19bc2c3f80aea34bf305b77b9b54aee89529cf8fdb6259dd9dfbb89e",
     "ec_t.values": "f37949f705968102cd01fb40a176ae3b96ae14df2562a0b67d6bdfec1da1ca05",
     "tau.nodes": "5c34f7d5081018af5aa04f879c3bac13856b7cc9a8ebc271bd3f0aa51898fac9",
-    "tau_t.nodes": "51b06efe3bd4201c7d10c7ecc63cf299e530cde262c3fa0556064283310f11a6",
-    "tau_strong.nodes": "21c6e4649d0881d4e891725a8bdf6d3496a6ddf0893a3c65e44fc24ef04f1ddd",
+    "tau_t.nodes": "db34fbdaab46ba7d18e67af149088b9dd24f8aa3c759d3e52ebf68845cd08b7b",
+    "tau_strong.nodes": "2fa42a37f36ff4d6a984436a60fb89b134e7d08f8e0f0ca7e5e91e991c04dc5e",
     "gamma.nodes": "b37bacc8913851ba6895e062e649cbc7e3c06514d22e364113f1a5b8a6c9bf05",
     "gamma_t.nodes": "0e10fd1d58b3a0394164d28170169f2ebb141a7d326e3585ce1858567a5d35a8",
-    "ec_t.nodes": "09742525b35624dc206ef26a5adf4e10bafc9e231579208ca5208698a5b93934",
+    "ec_t.nodes": "15d7962b1f91d8c66e0a8343f2c487964e59632b8ddb1527e0e2e1a1e040494a",
 }
 
 _HYPERGRAPH_SOLVERS = {

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import sys
+from math import comb
 
 import pytest
 
@@ -30,7 +31,7 @@ from hypertrans.solve import (
     tau_strong,
     tau_t,
 )
-from hypertrans.xform import family_Fk, family_Fk_star, graph
+from hypertrans.xform import family_Fk, family_Fk_star, graph, two_section
 from hypertrans.xsearch import random_hypergraph
 
 
@@ -539,6 +540,91 @@ def test_zero_gap_rewalk_reading_lower_stops_restricting(monkeypatch):
     assert sum(fired.values()) >= 40, fired
 
 
+def test_gamma_t_cuts_match_oracle(monkeypatch):
+    """gamma_t adds a rank-2 cut per vertex u, two picks inside N(u) and the
+    N(c) of every c in N(u), and a node keeps the walk that takes the cuts
+    first when it reads more than the plain one.  The instances kept here
+    are those where the cuts raise some node's bound, found by a spy on
+    _cuts_first: that walk reads more than the plain one, or the bound more
+    than the walk of the requirements alone.  The solver must agree with
+    the oracle on each.  Draws of _rand_hg get there once or twice in a
+    thousand, too seldom to be worth drawing, so two other kinds are
+    drawn: pendant hypergraphs, whose degree-1 vertices have small
+    neighborhoods as in the family expansions, and in-class k-uniform ones
+    with their 2-sections, the shapes of criterion 06, where a cut of N(u)
+    alone gives wrong values.  At least 50 instances must fire."""
+    module = sys.modules["hypertrans.solve"]
+    cuts_first, packing = module._cuts_first, module._packing
+    fired = []
+
+    def spy(active, ncut, span):
+        lb, used = cuts_first(active, ncut, span)
+        if lb > min(packing(active)[0],
+                    packing(active[:len(active) - ncut])[0]):
+            fired.append(True)
+        return lb, used
+
+    monkeypatch.setattr(module, "_cuts_first", spy)
+    rng = random.Random(7070)
+    count = dict.fromkeys(("pendant", "class"), 0)
+    for _ in range(2000):
+        k = rng.randint(2, 4)
+        n = rng.randint(k + 1, 10)
+        F = random_hypergraph(k, n, rng.randint(2, min(5, comb(n, k) - 1)),
+                              rng.getrandbits(64), require_class=True)
+        for kind, H in (
+                ("pendant", _pendant_hypergraph(rng, rng.choice((2, 3)),
+                                                rng.randint(3, 5),
+                                                rng.randint(2, 5))),
+                ("class", F),
+                ("class", two_section(F).to_hypergraph())):
+            fired.clear()
+            try:
+                gamma_t(H)
+            except InfeasibleError:
+                continue
+            if fired:
+                count[kind] += 1
+                _assert_matches_oracle(H, "gamma_t")
+    assert sum(count.values()) >= 50, count
+
+
+def test_coverage_fixing_matches_oracle(monkeypatch):
+    """A non-hitting node whose coverage bound does not prune bans every
+    free item whose doubled score falls short of twice the deficit less
+    the t - 1 best scores, t being the most picks a selection beating the
+    incumbent can add.  The instances kept are those where some node bans
+    an item, found by a spy on _coverage; the solver must agree with the
+    oracle on each, and tau_t, tau_strong and ec_t must each get at least
+    20 of them."""
+    module = sys.modules["hypertrans.solve"]
+    coverage = module._coverage
+    fired = []
+
+    def spy(*args):
+        fixed = coverage(*args)
+        if fixed:
+            fired.append(True)
+        return fixed
+
+    monkeypatch.setattr(module, "_coverage", spy)
+    rng = random.Random(8080)
+    count = dict.fromkeys(("tau_t", "tau_strong", "ec_t"), 0)
+    for _ in range(5000):
+        H, G = _rand_hg(rng, n_max=14, m_max=10), _rand_graph(rng, n_max=9)
+        for inv in count:
+            obj = G if inv == "ec_t" else H
+            fired.clear()
+            try:
+                solve(obj, inv)
+            except InfeasibleError:
+                continue
+            if fired:
+                count[inv] += 1
+                _assert_matches_oracle(obj, inv)
+    assert min(count.values()) >= 20, count
+
+
 # tau_t search nodes on random_hypergraph(3, 100, 85, split_seed(7, s),
 # require_class=True) for s = 0, 1 before zero-gap fixing: 14,447 + 9,114.
 # Fixing must at least halve them.  With one restriction per node they took
@@ -564,8 +650,10 @@ def test_zero_gap_fixing_nodes():
 # ..., 24, drawn by _cubic_graph from random.Random(0), while the first
 # incumbent covered every requirement before giving lonely picks a neighbor:
 # 24,382.  The pair-aware incumbent must cut at least 60% of them.  Every one
-# of these graphs has ec_t = ceil(2n / 3).
+# of these graphs has ec_t = ceil(2n / 3).  Before coverage fixing they took
+# 7,345 nodes and with it 2,590; fixing must keep them within 3,000.
 EC_T_CUBIC_NODES_BEFORE = 24_382
+EC_T_CUBIC_FIXING_NODES = 3_000
 
 
 def test_ec_t_cubic_nodes():
@@ -579,6 +667,7 @@ def test_ec_t_cubic_nodes():
             assert is_total_edge_cover(G, got.witness)
             nodes += got.nodes
     assert nodes <= EC_T_CUBIC_NODES_BEFORE * 2 // 5, nodes
+    assert nodes <= EC_T_CUBIC_FIXING_NODES, nodes
 
 
 def test_sibling_dominance():
@@ -588,13 +677,13 @@ def test_sibling_dominance():
     the same requirements: tau_strong keeps both (at demand 2 an item goes
     only when two others lie in all its edges), and tau_t keeps both (each
     needs the other as its neighbor).  So after 0's subtree the root skips 1,
-    one node fewer than searching it (5 and 4 nodes without the rule).  In
+    one node fewer than searching it (5 and 3 nodes without the rule).  In
     the graph, dropping the neighbor test loses the optimum (5 for 4)."""
     for obj, inv, value, nodes in (
         (hypergraph(5, [[0, 1, 2], [0, 1, 3], [0, 1, 4], [2, 3, 4]]),
          "tau_strong", 4, 4),
-        (hypergraph(7, [[0, 1, 3], [2, 4, 5], [2, 4, 6]]), "tau_t", 4, 3),
-        (graph(6, [(0, 2), (0, 4), (1, 2), (1, 4), (1, 5), (2, 3)]),
+        (hypergraph(7, [[0, 1, 3], [2, 4, 5], [2, 4, 6]]), "tau_t", 4, 2),
+        (graph(6, [(0, 2), (0, 4), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)]),
          "ec_t", 4, None),
     ):
         got = solve(obj, inv)
@@ -609,8 +698,11 @@ def test_sibling_dominance():
 # and 2,018; gamma_t on the family_Fk_star expansions of five 4-uniform
 # 6-vertex bases drawn by _family_base from random.Random(808), 4,092 and
 # 2,042; tau_strong on the population of test_tau_strong_nodes, 7,825 and
-# 6,020 (checked there).  The ceilings are the counts with the rule.
+# 6,020 (checked there).  The ceilings are the counts with the rule.  The
+# gamma_t expansions took 1,314 nodes before the rank-2 cuts and take 5 with
+# them, one per solve; the cuts must keep them within 10.
 SIBLING_NODES = {"tau": 2_018, "gamma_t": 2_042, "tau_strong": 6_020}
+RANK2_CUT_NODES = {"gamma_t": 10}
 
 
 def test_sibling_dominance_nodes():
@@ -630,6 +722,7 @@ def test_sibling_dominance_nodes():
             assert _DEFINITIONS[inv](H, got.witness)
             nodes += got.nodes
         assert nodes <= SIBLING_NODES[inv], (inv, nodes)
+        assert nodes <= RANK2_CUT_NODES.get(inv, nodes), (inv, nodes)
 
 
 def test_search_depth_adds_no_python_frames():

@@ -14,22 +14,31 @@ runs once per side with --trace 1, the parent first.  The output has the
 layout of the committed BENCH files: per workload and end-to-end metric,
 the quartiles of each side, the runs, the wins and losses of the change,
 the median gap and the parent's IQR; per traced workload, every per-layer
-metric of each side.  Standard library only; the run lines go to stderr as
+metric of each side.  Besides the values digest of each pair, it compares
+the value lines that the run writes to perfbench/out with every node count
+masked, since pool-enumerate's CLI solve payloads carry node counts that a
+change to the search moves while the values stay the same.  Standard library only; the run lines go to stderr as
 they finish.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# a solve's node count inside a value line, as a number or, in a CLI
+# payload's scalars, as a string; a change to the search moves it while
+# every value stays the same
+_NODES = re.compile(r'"nodes":"?\d+"?')
 
 
 def _seeds(spec: str) -> tuple[str, list[int]]:
@@ -53,7 +62,11 @@ def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     records = [json.loads(line) for line in proc.stdout.splitlines()
                if line.startswith("{")]
     summary, result = records[0], records[-1]
+    out = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    lines = json.loads(out.read_text())["values"]
+    masked = "\n".join(_NODES.sub('"nodes":*', line) for line in lines)
     return dict(result, values_digest=summary["values_digest"],
+                masked_digest=hashlib.sha256(masked.encode()).hexdigest(),
                 provenance=summary["provenance"])
 
 
@@ -139,6 +152,9 @@ def main(argv=None) -> int:
             "correct": all(r["correct"] for r in every),
             "digests_equal_per_seed": all(
                 p["values_digest"] == c["values_digest"]
+                for p, c in zip(runs["parent"], runs["change"])),
+            "values_equal_per_seed_nodes_masked": all(
+                p["masked_digest"] == c["masked_digest"]
                 for p, c in zip(runs["parent"], runs["change"])),
             "metrics": _compare(end_to_end, runs),
         }
