@@ -11,6 +11,14 @@ meant to prune more can show that it moved only the nodes, or only the
 nodes and some witnesses.  A change meant to move them updates EXPECTED and
 says why in CHANGES.md.
 
+A second, structured population gets three digests of its own per invariant
+(STRUCTURED): disjoint unions of two or three small instances, the family
+expansions F_k and F_k*, cubic graphs, pendant hypergraphs, paths and
+cycles, each through the five hypergraph invariants and ec_t on its
+2-section.  The random draws never reach gamma_t's rank-2 cuts (their
+gamma_t node digest reads the same without them); this population does,
+and its unions fall apart into parts that share no item.
+
 Run as a script (`PYTHONPATH=src python3 tests/test_replay.py`) it prints
 the digests.
 """
@@ -21,13 +29,19 @@ import json
 import math
 
 from hypertrans.construct import SplitMix64, split_seed
+from hypertrans.hcore import class_check, hypergraph
 from hypertrans.solve import (
     InfeasibleError, ec_t, gamma, gamma_t, tau, tau_strong, tau_t,
 )
-from hypertrans.xform import onh, two_section
+from hypertrans.xform import (
+    family_Fk, family_Fk_star, graph, onh, two_section,
+)
 from hypertrans.xsearch import random_hypergraph
 
 INSTANCES = 240
+UNIONS = 60
+FAMILIES = 8
+PENDANTS = 45
 
 EXPECTED = {
     "calls": 4110,
@@ -49,6 +63,28 @@ EXPECTED = {
     "gamma.nodes": "b37bacc8913851ba6895e062e649cbc7e3c06514d22e364113f1a5b8a6c9bf05",
     "gamma_t.nodes": "0e10fd1d58b3a0394164d28170169f2ebb141a7d326e3585ce1858567a5d35a8",
     "ec_t.nodes": "15d7962b1f91d8c66e0a8343f2c487964e59632b8ddb1527e0e2e1a1e040494a",
+}
+
+STRUCTURED = {
+    "calls": 990,
+    "tau": "f0ce4a90dd1255ad4f4867644e5d64218d4f181099dff5c8371363b8aaba5710",
+    "tau_t": "1a06f01904b3b630e51f1c1e1f3830686ff561cdf2a8483a71c5cecad1d394de",
+    "tau_strong": "6dce8d4bea5e75df14a06f8f6426ec93be49d994aef59eb7cdb9a6031a4ef397",
+    "gamma": "2211626e37d59989e01740bd8036b8989883606e6d4abffb99d1f8fd402c1c7f",
+    "gamma_t": "72eade07bd7a35c0ba40ff9712ee82432cf15cc96eaab4ef13d1c374f717b354",
+    "ec_t": "ea26f8a8682617483c80a61475368971990339d599d285e7f27111e4786467ef",
+    "tau.values": "0e273f5216883c2a742f5d2cf2bae0fac7ebded200d1e508eb72560b36e9dd29",
+    "tau_t.values": "e970b25cfee10bde1a153a12e8f78684931fe62c5236a0d63ce696661a95aae8",
+    "tau_strong.values": "1ab408e72caaec1b4591d4b1c3db10ba91db837f8cf3d3de6feae15d4abf09a7",
+    "gamma.values": "e9da403dbdab05aca2c6fa104c2c0546fed54bf28d31600f790911501315b1e9",
+    "gamma_t.values": "2c81851d0c7da15d657572bc964e0a47e6ea50beef32856895931213a2f39b0b",
+    "ec_t.values": "9791691b20c42cfb53214258e20a43227a7aa0c7aaf05364120dca2790aace44",
+    "tau.nodes": "3c0c5dd248e91f51d6f773876284c3255a7f5120db7517891e40030627523cf4",
+    "tau_t.nodes": "c18b4d8769e22f3371c400c1b4bb3c34e658503266a5eb706b708489dc8a4256",
+    "tau_strong.nodes": "44eb2039f9655e6d91bb384b2887d464350ca9651ca9bf9a287496ceeddb87ea",
+    "gamma.nodes": "26127f50a19a56f244e71a46d09eab19503e173029ccdc23839a21e4096a375d",
+    "gamma_t.nodes": "90afa96f4349395b85c03a534999578e9914b3ab23fefcb10656add1e65dbc4d",
+    "ec_t.nodes": "7b5387da554e5827642deacaeb7b4c4ee3a68e18090b0de915f0a8654270d2d1",
 }
 
 _HYPERGRAPH_SOLVERS = {
@@ -99,23 +135,120 @@ def _outcome(fn, obj):
     return (res.value, res.witness), res.nodes
 
 
+def _digests(population, expected) -> dict:
+    """The digests of expected's keys over (tag, hypergraph) pairs, each
+    through the five hypergraph invariants and ec_t on its 2-section."""
+    hashes = {key: hashlib.sha256() for key in expected if key != "calls"}
+    calls = 0
+    for tag, X in population:
+        runs = [(inv, fn, X) for inv, fn in _HYPERGRAPH_SOLVERS.items()]
+        runs.append(("ec_t", ec_t, two_section(X)))
+        for inv, fn, obj in runs:
+            calls += 1
+            result, nodes = _outcome(fn, obj)
+            hashes[inv].update(repr((*tag, result)).encode())
+            value = result if nodes is None else result[0]
+            hashes[f"{inv}.values"].update(repr((*tag, value)).encode())
+            hashes[f"{inv}.nodes"].update(repr((*tag, nodes)).encode())
+    return {"calls": calls, **{key: h.hexdigest() for key, h in hashes.items()}}
+
+
 @functools.cache
 def replay_digests() -> dict:
-    hashes = {key: hashlib.sha256() for key in EXPECTED if key != "calls"}
-    calls = 0
-    for idx, H in enumerate(_population()):
-        for image, X in _images(H):
-            runs = [(inv, fn, X) for inv, fn in _HYPERGRAPH_SOLVERS.items()]
-            runs.append(("ec_t", ec_t, two_section(X)))
-            for inv, fn, obj in runs:
-                calls += 1
-                result, nodes = _outcome(fn, obj)
-                hashes[inv].update(repr((idx, image, result)).encode())
-                value = result if nodes is None else result[0]
-                hashes[f"{inv}.values"].update(
-                    repr((idx, image, value)).encode())
-                hashes[f"{inv}.nodes"].update(repr((idx, image, nodes)).encode())
-    return {"calls": calls, **{key: h.hexdigest() for key, h in hashes.items()}}
+    return _digests((((idx, image), X) for idx, H in enumerate(_population())
+                     for image, X in _images(H)), EXPECTED)
+
+
+def _union(*parts):
+    """The disjoint union, each part's vertices after the previous ones."""
+    n, edges = 0, []
+    for H in parts:
+        edges += [[v + n for v in e] for e in H.edges]
+        n += H.n
+    return hypergraph(n, edges)
+
+
+def _cubic(rng, n):
+    """3-regular graph by the pairing model with rejection, as a
+    hypergraph."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        order = rng.sample(len(points), len(points))
+        pairs = {tuple(sorted((points[order[i]], points[order[i + 1]])))
+                 for i in range(0, len(points), 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            return graph(n, sorted(pairs)).to_hypergraph()
+
+
+def _pendant(rng, k, core, m):
+    """k-uniform: m edges on a few shared core vertices, each filled up with
+    fresh vertices of degree 1."""
+    edges, n = [], core
+    for _ in range(m):
+        fresh = rng.randrange(k)
+        edges.append(rng.sample(core, k - fresh) + list(range(n, n + fresh)))
+        n += fresh
+    return hypergraph(n, edges)
+
+
+def _base(rng, k, star):
+    """A base of the family expansions, drawn as criterion 08 draws it."""
+    while True:
+        n = k + 1 + rng.randrange(3)
+        m = 2 + rng.randrange(2)
+        if m > math.comb(n, k):
+            continue
+        H = random_hypergraph(k, n, m, rng.next_u64(), require_class=True)
+        cc = class_check(H)
+        if cc.k == k and (cc.in_Hk_star or not star):
+            return H
+
+
+def _structured():
+    """(tag, hypergraph) pairs of the structured population."""
+    rng = SplitMix64(split_seed(2026, 10))
+    out = []
+    for i in range(UNIONS):
+        parts = []
+        for _ in range(2 + i % 2):
+            k = 2 + rng.randrange(2)
+            n = k + 1 + rng.randrange(4)
+            m = 2 + rng.randrange(min(3, math.comb(n, k) - 1))
+            parts.append(random_hypergraph(k, n, m, rng.next_u64(),
+                                           require_class=True))
+        out.append((("union", i), _union(*parts)))
+    # ec_t on the 2-section of a 4-uniform expansion takes millions of nodes
+    for i in range(FAMILIES):
+        k = 2 + i % 2
+        out.append((("Fk", i), family_Fk(_base(rng, k, False), k).hypergraph))
+    for i in range(FAMILIES):
+        out.append((("Fk*", i),
+                    family_Fk_star(_base(rng, 3, True), 3).hypergraph))
+    for n in (4, 6, 6, 8, 8, 10, 10, 12):
+        out.append((("cubic", n), _cubic(rng, n)))
+    for n in (4, 6, 8, 10):
+        C = _cubic(rng, n)
+        out.append((("cubic x2", n), _union(C, C)))
+    for i in range(PENDANTS):
+        k = (2, 3, 4)[i % 3]
+        parts = [_pendant(rng, k, k + rng.randrange(4), 2 + rng.randrange(4))
+                 for _ in range(1 + i % 3)]
+        out.append((("pendant", i), _union(*parts)))
+    for n in range(2, 13):
+        path = hypergraph(n, [[v, v + 1] for v in range(n - 1)])
+        out.append((("path", n), path))
+        if n >= 3:
+            out.append((("cycle", n),
+                        hypergraph(n, [[v, (v + 1) % n] for v in range(n)])))
+            out.append((("path+cycle", n), _union(path, out[-1][1])))
+    F = family_Fk(_base(rng, 2, False), 2).hypergraph
+    out.append((("Fk x2", 2), _union(F, F)))
+    return out
+
+
+@functools.cache
+def structured_digests() -> dict:
+    return _digests(_structured(), STRUCTURED)
 
 
 def _part(digests, suffix):
@@ -137,6 +270,23 @@ def test_min_selection_replay_nodes():
     assert _part(replay_digests(), "nodes") == _part(EXPECTED, "nodes")
 
 
+def test_structured_replay():
+    """Values, witnesses and infeasibility messages."""
+    assert _part(structured_digests(), "") == _part(STRUCTURED, "")
+
+
+def test_structured_replay_values():
+    assert _part(structured_digests(), "values") == _part(STRUCTURED, "values")
+
+
+def test_structured_replay_nodes():
+    assert _part(structured_digests(), "nodes") == _part(STRUCTURED, "nodes")
+
+
 if __name__ == "__main__":
-    for key, value in replay_digests().items():
-        print(f"    {json.dumps(key)}: {json.dumps(value)},")
+    for name, digests in (("EXPECTED", replay_digests()),
+                          ("STRUCTURED", structured_digests())):
+        print(f"{name} = {{")
+        for key, value in digests.items():
+            print(f"    {json.dumps(key)}: {json.dumps(value)},")
+        print("}")
