@@ -20,10 +20,16 @@ since a selection only grows.  At the root it also drops every item that
 kept items can stand in for.  tau, gamma and gamma_t are plain hitting
 sets (demand 1, no side constraint): there an item goes when another item
 lies in all of its requirements, alternating with requirement dominance
-until neither changes anything, and each node whose open requirements fall
-into groups that share no item solves every group by its own search, capped
-by the incumbent less what the other groups need, and adds the results.  A
-result's `nodes` counts the nodes of those group searches as well.
+until neither changes anything.
+
+All of this runs once per part.  For every invariant, the requirements
+fall into parts linked by shared items, and items of different parts
+never meet in a requirement, so they never see each other either: the
+minimum is the sum of the parts' minima, as the paper's bounds add up over
+components.  Each part gets its own reductions, greedy incumbent and
+search, and a result's `nodes` is the sum over its parts.  A union then
+costs the sum of its parts' searches, not their product: ec_t on a
+20-vertex cubic graph taken twice fell from 1,412,953 nodes to 2.
 
 The other three get a dominance rule of their own and a coverage bound at
 every node: the fewest free items whose open coverages add up to the open
@@ -62,7 +68,7 @@ counted; each other free item has reduced cost 1 against a gap of 0.  So the
 node keeps only those candidates in its requirements and walks them again:
 it prunes when that walk reaches the incumbent, keeps restricting while the
 walk reads the same bound, and stops when it reads less, since a walk that
-reads less need not count every pick.  Then it splits, bounds coverage and
+reads less need not count every pick.  Then it bounds coverage and
 branches, and its children re-derive their free items from the banned ones
 as before.  One restriction took exact-solve from 16,707 nodes to 10,621,
 and restricting to a fixpoint to 8,147, all with the same values.
@@ -81,15 +87,18 @@ items in U_u, N(u) together with the N(c) of every c in N(u): the pick c
 that dominates u needs a pick of its own in N(c), and c is not in N(c).  A
 root at a nonzero gap adds these cuts as entries of demand 2, and every node
 bounds by the larger of the slack walk and a walk that takes the open cuts
-first.  On the family expansions, where the packing counts one pick per
-gadget that needs two, they took gamma_t from 1,937 exact-solve nodes to 30,
-and fixing took ec_t from 1,770 to 629: 8,147 nodes in all fell to 4,942.
+first.  A part takes only the cuts inside its own items; one that reaches
+another part is dropped.  On the family expansions, where the packing
+counts one pick per gadget that needs two, they took gamma_t from 1,937
+exact-solve nodes to 30, and fixing took ec_t from 1,770 to 629: 8,147
+nodes in all fell to 4,942.
 
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -123,6 +132,13 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
     neighborhoods in item order (gamma_t), and the search may add the
     rank-2 cuts of `_rank2_cuts`.  Returns (size, mask, nodes) or raises
     InfeasibleError.
+
+    After the feasibility check, which sees every requirement, the
+    requirements fall into parts linked by shared items.  Items of different
+    parts share no requirement, so they never see each other either, and a
+    selection is feasible exactly when its share of each part is.  So each
+    part gets its own reductions, greedy incumbent and search, in the order
+    of its first requirement, and the sizes, masks and node counts add up.
     """
     adj = mask_neighborhoods(nitems, [m for m, _ in reqs]) if total else None
     if adj is None:
@@ -133,38 +149,78 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
         for i in range(nitems):
             if adj[i]:
                 allowed |= 1 << i
+    # linked grows from the first mask by each mask that meets it in turn:
+    # when every mask does, one part holds them all
+    linked = reqs[0][0] if reqs else 0
+    apart = False
+    demand = 1
     for mask, need in reqs:
         if (mask & allowed).bit_count() < need:
             raise InfeasibleError(
                 f"requirement {bin(mask)} wants {need} usable items, "
                 f"only {(mask & allowed).bit_count()} exist"
             )
-    demand = max((need for _, need in reqs), default=1)
+        if need > demand:
+            demand = need
+        if mask & linked:
+            linked |= mask
+        else:
+            apart = True
+    parts = _parts(reqs) if apart else [(reqs, linked)]
     hitting = adj is None and demand == 1
-    if adj is not None:
-        # the adjacency is read off the requirements as given, and both the
-        # dominance test and the search's coverage bound rely on that, so
-        # the requirements stay unreduced
-        allowed = _thin(reqs, adj, allowed, demand)
-    else:
-        # an item that others can stand in for goes, and a requirement lost
-        # that way can free further items
-        reqs = _drop_implied(reqs, allowed)
-        while True:
-            allowed = _thin(reqs, None, allowed, demand)
-            if all(mask & ~allowed == 0 for mask, _ in reqs):
-                break             # only items in no requirement were dropped
-            before = len(reqs)
-            reqs = _drop_implied(reqs, allowed)
-            if len(reqs) == before:   # same requirements, same item signatures
-                break
-    holds = _holds(reqs, allowed)
-    greedy = _greedy(reqs, adj, allowed, holds)
-    size, mask, nodes = _search(reqs, adj, allowed, greedy.bit_count(), hitting,
-                                holds=holds, nb=nb)
-    if mask is None:   # nothing beats the greedy selection
-        mask = greedy
-    return size, mask, nodes
+    total_size = total_mask = total_nodes = 0
+    for part, items in parts:
+        kept = allowed
+        if adj is not None:
+            # the adjacency is read off the requirements as given, and both
+            # the dominance test and the search's coverage bound rely on
+            # that, so the requirements stay unreduced
+            kept = _thin(part, adj, kept, demand)
+        else:
+            # an item that others can stand in for goes, and a requirement
+            # lost that way can free further items
+            part = _drop_implied(part, kept)
+            while True:
+                kept = _thin(part, None, kept, demand)
+                for mask, _ in part:   # a loop, not all(): this runs per call
+                    if mask & ~kept:
+                        break
+                else:
+                    break         # only items in no requirement were dropped
+                before = len(part)
+                part = _drop_implied(part, kept)
+                if len(part) == before:   # same requirements and signatures
+                    break
+        holds = _holds(part, kept)
+        greedy = _greedy(part, adj, kept, holds)
+        cuts = None
+        if nb is not None:
+            cuts = functools.partial(_rank2_cuts, nb, kept, items)
+        size, mask, nodes = _search(part, adj, kept, greedy.bit_count(),
+                                    hitting, holds, cuts)
+        total_size += size
+        total_mask |= greedy if mask is None else mask   # None: greedy's best
+        total_nodes += nodes
+    return total_size, total_mask, total_nodes
+
+
+def _parts(reqs) -> list:
+    """(requirements, items) of each group of requirements linked by shared
+    items, the requirements in input order and the groups in the order of
+    their first requirement."""
+    parts = []
+    while reqs:
+        items = reqs[0][0]
+        grown = True
+        while grown:
+            grown = False
+            for mask, _ in reqs:
+                if mask & items and mask & ~items:
+                    items |= mask
+                    grown = True
+        parts.append(([req for req in reqs if req[0] & items], items))
+        reqs = [req for req in reqs if not req[0] & items]
+    return parts
 
 
 def _drop_implied(reqs, allowed):
@@ -186,25 +242,32 @@ def _drop_implied(reqs, allowed):
     return kept
 
 
-def _rank2_cuts(nb, allowed) -> list[int]:
+def _rank2_cuts(nb, allowed, items) -> list[int]:
     """Per item u, U_u = N(u) | the N(c) of every c in N(u), restricted to
-    allowed, without repeats: every total dominating set has two items in
-    U_u.  Whichever pick c dominates u lies in N(u), and c needs a pick of
-    its own inside N(c), which c is not in.
+    allowed, without repeats, for each U_u inside items, the items of one
+    part: every total dominating set has two items in U_u.  Whichever pick
+    c dominates u lies in N(u), and c needs a pick of its own inside N(c),
+    which c is not in.
 
-    The search takes the masks, each once, in the order of their first u,
-    as entries of demand 2.  Restricted to allowed, each is still implied
-    by the reduced requirements: a selection inside allowed that meets them
-    meets every N(v) too, since each N(v) holds a reduced requirement (a
-    requirement goes only for a tighter one inside it).  So it is a total
-    dominating set, and its two items in U_u lie in U_u & allowed.
+    The search of the part takes the masks, each once, in the order of
+    their first u, as entries of demand 2.  A U_u inside the part's items
+    holds N(u) and each N(c), so these are requirements of the part, and
+    its selection meets them.  A U_u reaching another part rests on a
+    requirement of that part, so it is dropped, not restricted: on a
+    bipartite graph every U_u spans both sides, which are two parts.
+    Restricted to allowed, a kept cut is still implied by the reduced
+    requirements: a selection inside allowed that meets them meets every
+    N(v) of the part too, since each such N(v) holds a reduced requirement
+    (a requirement goes only for a tighter one inside it), and its two
+    items in U_u lie in U_u & allowed.
     """
     cuts = {}
     for nu in nb:
         mask = nu
         for c in bit_indices(nu):
             mask |= nb[c]
-        cuts[mask & allowed] = None
+        if not mask & ~items:
+            cuts[mask & allowed] = None
     return list(cuts)
 
 
@@ -396,45 +459,22 @@ def _coverage(scores, items, low, need, t):
     return fixed
 
 
-def _components(cands) -> list[int]:
-    """Item unions of the connected groups of masks (linked by shared items)."""
-    groups = []
-    while cands:
-        comp = cands[0]
-        grown = True
-        while grown:
-            grown = False
-            for c in cands:
-                if c & comp and c & ~comp:
-                    comp |= c
-                    grown = True
-        groups.append(comp)
-        cands = [c for c in cands if not c & comp]
-    return groups
-
-
-def _search(reqs, adj, allowed, best_size, hitting, connected=False,
-            holds=None, nb=None):
+def _search(reqs, adj, allowed, best_size, hitting, holds, cuts=None):
     """Depth-first branch and bound for a selection smaller than best_size.
 
     Returns (size, mask, nodes) of the smallest one, with mask None when none
     exists.  Every node is bounded by the packing of `_packing` and, unless
-    the instance is a plain hitting set, by a coverage count.  For a
-    hitting set (demand 1, no side constraint), a node whose open
-    requirements fall into groups that share no item searches each group on
-    its own and adds up the results.  Such a group search is connected: its
-    requirements are the group's open ones, whose packing bound the
-    splitting node has already kept below the group's cap, so it branches
-    at its root at once.
+    the instance is a plain hitting set, by a coverage count.  It runs once
+    per part of `_min_selection`, whose requirements are linked by shared
+    items at the root; a node never splits them again.
 
     A node gets its parent's open requirements as (bit, mask, need) and
     hands the ones it leaves open to its children.  It branches on the open
     requirement with the least slack, its candidate count less its deficit,
     and tries the candidates in decreasing order of how many open
-    requirements hold them, the lower index first on ties (a connected root
-    counts all of its requirements as open).  Every
-    order is complete: each tried candidate is banned from later siblings,
-    which only have to cover the requirement without it.
+    requirements hold them, the lower index first on ties.  Every order is
+    complete: each tried candidate is banned from later siblings, which
+    only have to cover the requirement without it.
 
     The search runs on one explicit stack, so its depth costs no Python
     frames.  A branching node puts a generator of its children on the stack,
@@ -449,8 +489,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     neighbor of i but itself.  Trading i for j maps each selection below i
     to one of the same size below j, which was searched already, so no
     incumbent is ever found below i and skipping it changes no result, only
-    the node count.  Group searches are nested `_search` calls, as deep as
-    the splits, not the selection.
+    the node count.
 
     A node at zero gap, size + lb == best_size - 1 for its packing bound lb,
     looks only inside the `used` of its packing walk.  A selection below it
@@ -469,7 +508,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     keeps the last restriction: a selection adding lb picks has lb - lb2 of
     them that the new walk did not count, and those can lie outside its
     `used`.  Either way the entries the node goes on with pack below the
-    incumbent, and it splits, bounds coverage and branches on them.  Each
+    incumbent, and it bounds coverage and branches on them.  Each
     child gets banned and the open requirements as before and re-derives
     its free items.  If best_size falls while the node's generator is live,
     a selection beating the new incumbent would add fewer than lb picks,
@@ -492,10 +531,11 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     lowers t and raises the threshold, so the bans stay sound while the
     node's generator is live.
 
-    With nb (gamma_t), a root at a nonzero gap adds the cuts of
-    `_rank2_cuts` as entries of demand 2, with bits after the requirements'
-    bits, so that they end every node's entries and pass to the children
-    like requirements.  Every selection the search returns meets them (see
+    With cuts (gamma_t), a function giving the rank-2 cuts of
+    `_rank2_cuts` that lie inside the part, a root at a nonzero gap adds
+    them as entries of demand 2, with bits after the requirements' bits, so
+    that they end every node's entries and pass to the children like
+    requirements.  Every selection the search returns meets them (see
     `_rank2_cuts`), so the bound and the branching may use them.  A node
     bounds by the larger of the slack walk and the walk that takes the
     open cuts first (`_cuts_first`), with the `used` of the walk that gave
@@ -504,11 +544,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     dominance tests only requirements, which keeps it sound.  Trading i
     for j meets every open requirement that i met, so the traded selection
     meets all the requirements, hence every cut, and it lies below j; the
-    argument above needs nothing more.  A group search takes each entry
-    of its group with its deficit, cuts as requirements of its own.  They
-    still hold for every selection of the group that, with sel and the
-    other groups' picks, meets the requirements, since no other group has
-    an item among a cut's candidates.
+    argument above needs nothing more.
     """
     best_mask = None
     nodes = 0
@@ -518,7 +554,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
     def node(sel: int, size: int, banned: int, was_open):
         """Count and evaluate a node; its children's generator when it
         branches, else None."""
-        nonlocal nodes, best_mask, best_size, nb
+        nonlocal nodes, best_mask, best_size, cuts
         nodes += 1
         free = allowed & ~banned & ~sel
         active = []    # (slack, candidates, deficit), cover constraints first
@@ -554,13 +590,13 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
                     else _packing(active))
         if size + lb >= best_size:
             return
-        if nb is not None:   # the root of a gamma_t search
+        if cuts is not None:   # the root of a gamma_t part
             if lb < best_size - 1:
                 # at a nonzero gap the cuts join the entries, for the
                 # children too, with bits after the requirements' bits; at
                 # zero gap the fixing below mostly ends the search at once
                 bit = 1 << nreq
-                for mask in _rank2_cuts(nb, allowed):
+                for mask in cuts():
                     active.append((mask.bit_count() - 2, mask, 2))
                     still.append((bit, mask, 2))
                     opened |= bit
@@ -569,7 +605,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
                 lb, used = _cuts_first(active, ncut, span)
                 if lb >= best_size:
                     return
-            nb = None
+            cuts = None
         if size + lb == best_size - 1:
             # zero gap: whatever beats the incumbent here adds exactly lb
             # picks, all inside used, so the rest of this node looks only
@@ -590,12 +626,7 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
                     return
                 if lb2 < lb:
                     break
-        if hitting:
-            groups = _components([c for _, c, _ in active])
-            if len(groups) > 1:
-                split(sel, size, active, groups)
-                return
-        else:
+        if not hitting:
             # A new pick meets at most the open requirements holding it,
             # lonely picks' ones included.  Under the side constraint, a pick
             # that sees no selected item needs another new pick beside it in
@@ -636,12 +667,9 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
         return branch(sel, size, banned, active, still, opened)
 
     def branch(sel: int, size: int, banned: int, active, still, opened):
-        nonlocal holds
         slack, cand, d = min(active, key=_SLACK)
         picks = bit_indices(cand)
         if slack:   # else only the first pick is ever tried
-            if holds is None:   # a group search's, built when first ranked
-                holds = _holds(reqs, allowed)
             # most open requirements first, the lower index on ties
             picks = sorted(
                 picks, reverse=True,
@@ -665,53 +693,8 @@ def _search(reqs, adj, allowed, best_size, hitting, connected=False,
             if slack < 0:    # too few candidates left for the deficit
                 return
 
-    def split(sel: int, size: int, active, groups):
-        # each group may use the incumbent minus what the others need at
-        # least: their exact value once solved, their slack walk until
-        # then.  The groups' walks add up to the slack walk of the node's
-        # entries as they reach here, which is at most the bound that the
-        # caller found below the incumbent (at zero gap by its last walk
-        # of the restricted entries).  So total starts below the
-        # incumbent, and a group search returns less than its cap, so
-        # total stays below it after each group.  Hence every group's
-        # bound is below its cap, and a group's own root packing check
-        # could never prune.
-        #
-        # A lone entry is a requirement of demand 1, never an open cut.
-        # An open cut for u shares a candidate with an open requirement:
-        # with no selected item in U_u, the reduced requirement inside
-        # N(u) is open; with one, c, either c is not in N(u) and that
-        # requirement is open again, or the one inside N(c) is, since an
-        # item meeting it would be a second in U_u, c not being in N(c).
-        # Either requirement's candidates lie in the cut's, and are not
-        # empty.  The same holds inside a group search, whose entries are
-        # these requirements and cuts of the splitting node.
-        nonlocal nodes, best_mask, best_size
-        members = [[a for a in active if a[1] & g] for g in groups]
-        bounds = [_packing(m)[0] for m in members]
-        total = size + sum(bounds)
-        for g, m, lb in zip(groups, members, bounds):
-            total -= lb
-            if len(m) == 1:   # one requirement: any one of its items
-                sel |= g & -g
-                total += 1
-                continue
-            gsize, gmask, gnodes = _search(
-                [(c, d) for _, c, d in m], None, g, best_size - total, True, True
-            )
-            nodes += gnodes
-            if gmask is None:
-                return
-            sel |= gmask
-            total += gsize
-        best_mask, best_size = sel, total
-
     every = [(1 << r, mask, need) for r, (mask, need) in enumerate(reqs)]
-    if connected:
-        root = [(mask.bit_count() - need, mask, need) for mask, need in reqs]
-        stack = [branch(0, 0, 0, root, every, (1 << len(reqs)) - 1)]
-    else:
-        stack = [iter([(0, 0, 0, every)])]   # the root, yielded once
+    stack = [iter([(0, 0, 0, every)])]   # the root, yielded once
     while stack:
         for child in stack[-1]:   # resumes the top generator where it was
             children = node(*child)

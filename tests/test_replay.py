@@ -57,12 +57,12 @@ EXPECTED = {
     "gamma.values": "55d4245322c307e815526d1aef4984fdb5a97459f223caec5b8bbce8542bb01d",
     "gamma_t.values": "0a6476ff19bc2c3f80aea34bf305b77b9b54aee89529cf8fdb6259dd9dfbb89e",
     "ec_t.values": "f37949f705968102cd01fb40a176ae3b96ae14df2562a0b67d6bdfec1da1ca05",
-    "tau.nodes": "5c34f7d5081018af5aa04f879c3bac13856b7cc9a8ebc271bd3f0aa51898fac9",
-    "tau_t.nodes": "db34fbdaab46ba7d18e67af149088b9dd24f8aa3c759d3e52ebf68845cd08b7b",
-    "tau_strong.nodes": "2fa42a37f36ff4d6a984436a60fb89b134e7d08f8e0f0ca7e5e91e991c04dc5e",
-    "gamma.nodes": "b37bacc8913851ba6895e062e649cbc7e3c06514d22e364113f1a5b8a6c9bf05",
-    "gamma_t.nodes": "0e10fd1d58b3a0394164d28170169f2ebb141a7d326e3585ce1858567a5d35a8",
-    "ec_t.nodes": "15d7962b1f91d8c66e0a8343f2c487964e59632b8ddb1527e0e2e1a1e040494a",
+    "tau.nodes": "788d1ad8dd1bd1727f108298ec153e0b9d94900d17b6cd749d1685fe831f0f65",
+    "tau_t.nodes": "ef39ecba309b8aeaa97cceb053eb859b9d20ce037ae54535e43492cbcff3c4ab",
+    "tau_strong.nodes": "a3ff71618e03ce35644d348cc0f2b585603c92f04e2a0f99be292068220b7593",
+    "gamma.nodes": "bfef92710ef8359bd10f72e0d66cc2c08cae818849df51095cfa2617b5b4292b",
+    "gamma_t.nodes": "f44cc1679a2f3a458bbfbff0b4fb03a4f48248a8d96532cecee418f6cdbce40d",
+    "ec_t.nodes": "5dd019d2028c951475f10252db073f921a06d4f275455ac0839983e36e7c639b",
 }
 
 STRUCTURED = {
@@ -72,19 +72,19 @@ STRUCTURED = {
     "tau_strong": "6dce8d4bea5e75df14a06f8f6426ec93be49d994aef59eb7cdb9a6031a4ef397",
     "gamma": "2211626e37d59989e01740bd8036b8989883606e6d4abffb99d1f8fd402c1c7f",
     "gamma_t": "72eade07bd7a35c0ba40ff9712ee82432cf15cc96eaab4ef13d1c374f717b354",
-    "ec_t": "ea26f8a8682617483c80a61475368971990339d599d285e7f27111e4786467ef",
+    "ec_t": "b3ee580938582600ad6bba0491c901cb93b6f3a589fe0abd6f0a069c2d92b387",
     "tau.values": "0e273f5216883c2a742f5d2cf2bae0fac7ebded200d1e508eb72560b36e9dd29",
     "tau_t.values": "e970b25cfee10bde1a153a12e8f78684931fe62c5236a0d63ce696661a95aae8",
     "tau_strong.values": "1ab408e72caaec1b4591d4b1c3db10ba91db837f8cf3d3de6feae15d4abf09a7",
     "gamma.values": "e9da403dbdab05aca2c6fa104c2c0546fed54bf28d31600f790911501315b1e9",
     "gamma_t.values": "2c81851d0c7da15d657572bc964e0a47e6ea50beef32856895931213a2f39b0b",
     "ec_t.values": "9791691b20c42cfb53214258e20a43227a7aa0c7aaf05364120dca2790aace44",
-    "tau.nodes": "3c0c5dd248e91f51d6f773876284c3255a7f5120db7517891e40030627523cf4",
-    "tau_t.nodes": "c18b4d8769e22f3371c400c1b4bb3c34e658503266a5eb706b708489dc8a4256",
-    "tau_strong.nodes": "44eb2039f9655e6d91bb384b2887d464350ca9651ca9bf9a287496ceeddb87ea",
-    "gamma.nodes": "26127f50a19a56f244e71a46d09eab19503e173029ccdc23839a21e4096a375d",
-    "gamma_t.nodes": "90afa96f4349395b85c03a534999578e9914b3ab23fefcb10656add1e65dbc4d",
-    "ec_t.nodes": "7b5387da554e5827642deacaeb7b4c4ee3a68e18090b0de915f0a8654270d2d1",
+    "tau.nodes": "569eb5cb580625ca533b03b399c848dfea4a3316a3bc0ea147142ec8f8bb9a7c",
+    "tau_t.nodes": "d391855b64ef8772aa03d86559d928a27863e4a5b13770fb493b0996c197cc00",
+    "tau_strong.nodes": "e74e6cbad0117fec835cf059624d63b34a74c487713d70503d7cfb390d402fb6",
+    "gamma.nodes": "20974dec8f07ca003eb2c77dd5f0c60da233cb7c1effd0fd9cf22988bb21622e",
+    "gamma_t.nodes": "92e2463b84348c71119a28a25bb75de2138acbd2868dcd6142d34e73c2f30c29",
+    "ec_t.nodes": "72f2ef331514db88544ea09a3262665df639bf9d85f0815e13e2b103b9077c79",
 }
 
 _HYPERGRAPH_SOLVERS = {

@@ -7,15 +7,17 @@ from math import comb
 
 import pytest
 
-from hypertrans.construct import split_seed
+from hypertrans.construct import SplitMix64, split_seed
 from hypertrans.hcore import (
     bit_indices, class_check, hypergraph, mask_neighborhoods,
+    neighborhood_masks,
 )
 from hypertrans.solve import (
     InfeasibleError,
     _greedy,
     _holds,
     _min_selection,
+    _parts,
     brute_force_oracle,
     ec_t,
     gamma,
@@ -31,7 +33,9 @@ from hypertrans.solve import (
     tau_strong,
     tau_t,
 )
-from hypertrans.xform import family_Fk, family_Fk_star, graph, two_section
+from hypertrans.xform import (
+    family_Fk, family_Fk_star, graph, onh, two_section,
+)
 from hypertrans.xsearch import random_hypergraph
 
 
@@ -179,11 +183,12 @@ _DEFINITIONS = {
 }
 
 
-# Instances whose value is decided at a split below the root, where a group
-# search must respect its cap or a one-requirement group has several items to
-# pick from.  Random instances of this size rarely get there (a few in ten
-# thousand), so these were taken from a seeded search over random in-class
-# instances.
+# Instances whose value was decided at a split below the root while the
+# plain hitting sets split their open requirements inside the search, where a
+# group search had to respect its cap or a one-requirement group had several
+# items to pick from.  Random instances of this size rarely got there (a few
+# in ten thousand), so these were taken from a seeded search over random
+# in-class instances; they stay as oracle checks of the search without it.
 _DEEP_SPLITS = (
     ("gamma_t", [[0, 2, 3], [1, 2, 6], [1, 5, 6], [4, 7, 8], [4, 10, 11],
                  [5, 9, 13], [7, 12, 13]]),
@@ -223,10 +228,14 @@ def _pendant_hypergraph(rng, k, core, m):
 
 
 def _cubic_graph(rng, n):
-    """Random 3-regular graph by the pairing model with rejection."""
+    """Random 3-regular graph by the pairing model with rejection.  The
+    shuffle is spelled out, as random.shuffle does it, so that a SplitMix64
+    draws the same graphs as perfbench does."""
     while True:
         points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
+        for i in range(len(points) - 1, 0, -1):
+            j = rng.randrange(i + 1)
+            points[i], points[j] = points[j], points[i]
         pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
         if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
             return graph(n, sorted(pairs))
@@ -294,9 +303,10 @@ def _assert_matches_oracle(obj, inv, cap=24):
 
 
 def test_reductions_and_splitting_match_oracle():
-    """tau, gamma and gamma_t use item dominance and component splitting;
-    tau_strong drops items at demand 2, tau_t and ec_t under the side
-    constraint, and those three bound every node by coverage."""
+    """Every invariant splits into parts at the root; tau, gamma and gamma_t
+    use item dominance, tau_strong drops items at demand 2, tau_t and ec_t
+    under the side constraint, and those three bound every node by
+    coverage."""
     for obj, invariants, cap in _reduction_cases():
         for inv in invariants:
             _assert_matches_oracle(obj, inv, cap)
@@ -435,8 +445,12 @@ def test_demand_aware_packing():
     with them, one more.  So the root bound equals the greedy's 5 and the
     search stops at its first node, where the disjoint packing stopped at
     4."""
-    got = tau_strong(hypergraph(8, [[3, 6, 7], [1, 4, 5], [0, 1, 2], [0, 2, 4]]))
-    assert (got.value, got.nodes) == (5, 1)
+    H = hypergraph(8, [[3, 6, 7], [1, 4, 5], [0, 1, 2], [0, 2, 4]])
+    got = tau_strong(H)
+    # {3,6,7} shares no item with the other three edges, so the two parts
+    # are searched apart, each closing at its own root: one node per part
+    parts = _parts([(m, 2) for m in H.edge_masks()])
+    assert (got.value, got.nodes, len(parts)) == (5, 2, 2)
     # mixed demands of 1 and 2 against a brute-force minimum, a quarter of
     # the requirements having exactly as many items as they need
     rng = random.Random(2727)
@@ -548,11 +562,22 @@ def test_gamma_t_cuts_match_oracle(monkeypatch):
     _cuts_first: that walk reads more than the plain one, or the bound more
     than the walk of the requirements alone.  The solver must agree with
     the oracle on each.  Draws of _rand_hg get there once or twice in a
-    thousand, too seldom to be worth drawing, so two other kinds are
+    thousand, too seldom to be worth drawing, so three other kinds are
     drawn: pendant hypergraphs, whose degree-1 vertices have small
-    neighborhoods as in the family expansions, and in-class k-uniform ones
+    neighborhoods as in the family expansions, in-class k-uniform ones
     with their 2-sections, the shapes of criterion 06, where a cut of N(u)
-    alone gives wrong values.  At least 50 instances must fire."""
+    alone gives wrong values, and F_3 expansions of 4-vertex bases.
+
+    The requirements of a pendant draw mostly fall into parts that share no
+    item, each solved apart and closed at zero gap, where no cut is added,
+    and a cut reaching another part is dropped: the pendant draws fire no
+    more, the in-class ones six times.  Each gadget of an expansion needs
+    two picks where the packing counts one, so the cuts fire on every F_3
+    expansion.  Its base is drawn at criterion 08's smallest order, 4
+    vertices (16 in the expansion), since the oracle takes about 3 s at 20
+    vertices against 0.15 s at 16.  Such bases have only a few labellings,
+    so the expansion's vertices are relabelled at random.  F_2 expansions
+    never fire.  At least 50 instances must fire."""
     module = sys.modules["hypertrans.solve"]
     cuts_first, packing = module._cuts_first, module._packing
     fired = []
@@ -564,29 +589,77 @@ def test_gamma_t_cuts_match_oracle(monkeypatch):
             fired.append(True)
         return lb, used
 
+    def draws(rng):
+        for _ in range(2000):
+            k = rng.randint(2, 4)
+            n = rng.randint(k + 1, 10)
+            F = random_hypergraph(k, n,
+                                  rng.randint(2, min(5, comb(n, k) - 1)),
+                                  rng.getrandbits(64), require_class=True)
+            yield "pendant", _pendant_hypergraph(rng, rng.choice((2, 3)),
+                                                 rng.randint(3, 5),
+                                                 rng.randint(2, 5))
+            yield "class", F
+            yield "class", two_section(F).to_hypergraph()
+        for _ in range(46):
+            H = family_Fk(_family_base(rng, 3, 4, False), 3).hypergraph
+            label = rng.sample(range(H.n), H.n)
+            yield "F_3", hypergraph(H.n, [[label[v] for v in e]
+                                          for e in H.edges])
+
     monkeypatch.setattr(module, "_cuts_first", spy)
-    rng = random.Random(7070)
-    count = dict.fromkeys(("pendant", "class"), 0)
-    for _ in range(2000):
-        k = rng.randint(2, 4)
-        n = rng.randint(k + 1, 10)
-        F = random_hypergraph(k, n, rng.randint(2, min(5, comb(n, k) - 1)),
-                              rng.getrandbits(64), require_class=True)
-        for kind, H in (
-                ("pendant", _pendant_hypergraph(rng, rng.choice((2, 3)),
-                                                rng.randint(3, 5),
-                                                rng.randint(2, 5))),
-                ("class", F),
-                ("class", two_section(F).to_hypergraph())):
-            fired.clear()
-            try:
-                gamma_t(H)
-            except InfeasibleError:
-                continue
-            if fired:
-                count[kind] += 1
-                _assert_matches_oracle(H, "gamma_t")
+    count = dict.fromkeys(("pendant", "class", "F_3"), 0)
+    for kind, H in draws(random.Random(7070)):
+        fired.clear()
+        try:
+            gamma_t(H)
+        except InfeasibleError:
+            continue
+        if fired:
+            count[kind] += 1
+            _assert_matches_oracle(H, "gamma_t")
     assert sum(count.values()) >= 50, count
+
+
+# Bipartite graphs whose gamma_t requirements fall into two parts, the open
+# neighbourhoods of either side, where one part's root is at a nonzero gap,
+# so that it adds its cuts.  Every U_u spans both sides; restricted to one
+# part instead of dropped, the cuts give 8 for 7, 11 for 10 and 9 for 7.
+# Found by comparing that restriction with this solver on random bipartite
+# graphs of 16 to 24 vertices, about one in three thousand.
+_BIPARTITE_CUT_CASES = (
+    (21, [(0, 11), (0, 15), (1, 9), (1, 13), (1, 16), (1, 17), (1, 19),
+          (2, 9), (2, 15), (3, 11), (3, 19), (4, 10), (4, 13), (4, 15),
+          (4, 18), (4, 19), (5, 9), (5, 15), (6, 12), (6, 14), (6, 15),
+          (6, 20), (7, 14), (7, 16), (8, 9), (8, 11), (8, 12), (8, 13),
+          (8, 14)], 7),
+    (24, [(0, 14), (0, 18), (0, 20), (1, 15), (1, 22), (2, 12), (2, 19),
+          (2, 22), (2, 23), (3, 14), (3, 19), (4, 17), (4, 18), (5, 16),
+          (5, 17), (5, 18), (6, 12), (6, 23), (7, 12), (7, 17), (7, 21),
+          (8, 14), (8, 15), (8, 20), (9, 16), (10, 12), (10, 13), (10, 14),
+          (10, 16), (10, 19), (11, 19), (11, 23)], 10),
+    (23, [(0, 12), (0, 13), (0, 14), (0, 17), (1, 12), (1, 15), (1, 16),
+          (1, 19), (2, 12), (2, 17), (2, 21), (2, 22), (3, 14), (3, 18),
+          (3, 20), (3, 22), (4, 15), (4, 17), (4, 22), (5, 13), (5, 15),
+          (5, 16), (5, 17), (6, 13), (6, 16), (6, 20), (7, 15), (7, 19),
+          (7, 22), (8, 11), (8, 12), (8, 14), (8, 15), (8, 20), (9, 11),
+          (9, 16), (9, 18), (10, 13), (10, 19), (10, 22)], 7),
+)
+
+
+def test_gamma_t_drops_cuts_that_reach_another_part():
+    """A cut U_u is implied only for a selection of the whole: a part may
+    take it only when U_u lies inside the part's items.  gamma_t is tau of
+    the open neighbourhoods, which adds no cuts, and the first graph is
+    small enough for the oracle as well."""
+    for i, (n, edges, want) in enumerate(_BIPARTITE_CUT_CASES):
+        H = hypergraph(n, edges)
+        got = gamma_t(H)
+        assert got.value == want == tau(onh(H)).value == len(got.witness)
+        assert is_total_dominating(H, got.witness)
+        assert len(_parts([(m, 1) for m in neighborhood_masks(H)])) == 2
+        if i == 0:
+            assert brute_force_oracle(H, "gamma_t").value == want
 
 
 def test_coverage_fixing_matches_oracle(monkeypatch):
@@ -668,6 +741,34 @@ def test_ec_t_cubic_nodes():
             nodes += got.nodes
     assert nodes <= EC_T_CUBIC_NODES_BEFORE * 2 // 5, nodes
     assert nodes <= EC_T_CUBIC_FIXING_NODES, nodes
+
+
+# Disjoint unions, whose requirements fall into parts that share no item.
+# Before the parts were solved apart, tau_t, tau_strong and ec_t searched a
+# union whole, at the cost of the product of its parts' searches: 139,882
+# nodes for the tau_t union, 2,791,022 for the tau_strong one and 1,412,953
+# for the doubled cubic graph, whose doubled coverage bound rounds to 27
+# against an optimum of 28 where each copy alone rounds up to its 14.
+UNION_NODES = {"tau_t": 150, "tau_strong": 150, "ec_t": 3}
+
+
+def test_disjoint_union_nodes():
+    G = _cubic_graph(SplitMix64(5), 20)
+    doubled = graph(40, list(G.edges) + [(u + 20, v + 20) for u, v in G.edges])
+    cases = (
+        ("tau_t", 36, _disjoint_union(*(
+            random_hypergraph(3, 30, 25, split_seed(11, c), require_class=True)
+            for c in range(4)))),
+        ("tau_strong", 45, _disjoint_union(*(
+            random_hypergraph(4, 24, 22, split_seed(11, c), require_class=True)
+            for c in range(4)))),
+        ("ec_t", 28, doubled),
+    )
+    for inv, want, obj in cases:
+        got = solve(obj, inv)
+        assert got.value == want == len(got.witness), (inv, got.value)
+        assert _DEFINITIONS[inv](obj, got.witness)
+        assert got.nodes <= UNION_NODES[inv], (inv, got.nodes)
 
 
 def test_sibling_dominance():
