@@ -205,9 +205,9 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
 
 
 def _parts(reqs) -> list:
-    """(requirements, items) of each group of requirements linked by shared
-    items, the requirements in input order and the groups in the order of
-    their first requirement."""
+    """(requirements, items) of each part, a group of requirements linked by
+    shared items, the requirements in input order and the parts in the
+    order of their first requirement."""
     parts = []
     while reqs:
         items = reqs[0][0]
@@ -218,8 +218,11 @@ def _parts(reqs) -> list:
                 if mask & items and mask & ~items:
                     items |= mask
                     grown = True
-        parts.append(([req for req in reqs if req[0] & items], items))
-        reqs = [req for req in reqs if not req[0] & items]
+        part, rest = [reqs[0]], []   # the first even when its mask is empty
+        for req in reqs[1:]:
+            (part if req[0] & items else rest).append(req)
+        parts.append((part, items))
+        reqs = rest
     return parts
 
 

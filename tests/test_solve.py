@@ -479,15 +479,16 @@ def test_demand_aware_packing():
 def test_zero_gap_fixing_matches_oracle(monkeypatch):
     """A node whose packing bound is one below the incumbent searches only
     the candidates of the entries the packing counted.  Every instance kept
-    here starts at zero gap: the packing of the root's reduced requirements
-    is the greedy size less one, so the rule fires at the root.  The solver
+    here starts at zero gap: the packing of its first part's reduced
+    requirements is that part's greedy size less one, so the rule fires at
+    the part's root.  The solver
     must agree with the oracle on each, and each of the six invariants must
     get at least 50 of them, so the check cannot pass vacuously.  The random
     loop of test_demand_aware_packing takes raw requirement lists without
     the side constraint, so tau_t and ec_t could not go there."""
     module = sys.modules["hypertrans.solve"]
     search = module._search
-    at_zero_gap = []   # per search call, a solve's top-level one first
+    at_zero_gap = []   # per search call, one per part, in part order
 
     def spy(reqs, adj, allowed, best_size, *rest, **kwargs):
         root = [((m & allowed).bit_count() - need, m & allowed, need)
