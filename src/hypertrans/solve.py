@@ -199,7 +199,7 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
         size, mask, nodes = _search(part, adj, kept, greedy.bit_count(),
                                     hitting, holds, cuts)
         total_size += size
-        total_mask |= greedy if mask is None else mask   # None: greedy's best
+        total_mask |= greedy if mask is None else mask   # None: greedy stands
         total_nodes += nodes
     return total_size, total_mask, total_nodes
 
