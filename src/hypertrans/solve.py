@@ -27,7 +27,8 @@ fall into parts linked by shared items, and items of different parts
 never meet in a requirement, so they never see each other either: the
 minimum is the sum of the parts' minima, as the paper's bounds add up over
 components.  Each part gets its own reductions, greedy incumbent and
-search, and a result's `nodes` is the sum over its parts.  A union then
+search, a result's witness is its parts' own witnesses side by side, and
+its `nodes` is the sum over its parts.  A union then
 costs the sum of its parts' searches, not their product: ec_t on a
 20-vertex cubic graph taken twice fell from 1,412,953 nodes to 2.
 

@@ -14,8 +14,8 @@ says why in CHANGES.md.
 A second, structured population gets three digests of its own per invariant
 (STRUCTURED): disjoint unions of two or three small instances, the family
 expansions F_k and F_k*, cubic graphs, pendant hypergraphs, paths and
-cycles, each through the five hypergraph invariants and ec_t on its
-2-section.  The random draws never reach gamma_t's rank-2 cuts (their
+cycles, drawn with the helpers of shapes.py, each through the five
+hypergraph invariants and ec_t on its 2-section.  The random draws never reach gamma_t's rank-2 cuts (their
 gamma_t node digest reads the same without them); this population does,
 and its unions fall apart into parts that share no item.
 
@@ -27,16 +27,19 @@ import functools
 import hashlib
 import json
 import math
+import random
 
 from hypertrans.construct import SplitMix64, split_seed
-from hypertrans.hcore import class_check, hypergraph
+from hypertrans.hcore import hypergraph
 from hypertrans.solve import (
     InfeasibleError, ec_t, gamma, gamma_t, tau, tau_strong, tau_t,
 )
-from hypertrans.xform import (
-    family_Fk, family_Fk_star, graph, onh, two_section,
-)
+from hypertrans.xform import family_Fk, family_Fk_star, onh, two_section
 from hypertrans.xsearch import random_hypergraph
+
+from shapes import (
+    cubic_graph, disjoint_union, family_base, pendant_hypergraph,
+)
 
 INSTANCES = 240
 UNIONS = 60
@@ -67,24 +70,24 @@ EXPECTED = {
 
 STRUCTURED = {
     "calls": 990,
-    "tau": "f0ce4a90dd1255ad4f4867644e5d64218d4f181099dff5c8371363b8aaba5710",
-    "tau_t": "1a06f01904b3b630e51f1c1e1f3830686ff561cdf2a8483a71c5cecad1d394de",
-    "tau_strong": "6dce8d4bea5e75df14a06f8f6426ec93be49d994aef59eb7cdb9a6031a4ef397",
-    "gamma": "2211626e37d59989e01740bd8036b8989883606e6d4abffb99d1f8fd402c1c7f",
-    "gamma_t": "72eade07bd7a35c0ba40ff9712ee82432cf15cc96eaab4ef13d1c374f717b354",
-    "ec_t": "b3ee580938582600ad6bba0491c901cb93b6f3a589fe0abd6f0a069c2d92b387",
-    "tau.values": "0e273f5216883c2a742f5d2cf2bae0fac7ebded200d1e508eb72560b36e9dd29",
-    "tau_t.values": "e970b25cfee10bde1a153a12e8f78684931fe62c5236a0d63ce696661a95aae8",
-    "tau_strong.values": "1ab408e72caaec1b4591d4b1c3db10ba91db837f8cf3d3de6feae15d4abf09a7",
-    "gamma.values": "e9da403dbdab05aca2c6fa104c2c0546fed54bf28d31600f790911501315b1e9",
-    "gamma_t.values": "2c81851d0c7da15d657572bc964e0a47e6ea50beef32856895931213a2f39b0b",
-    "ec_t.values": "9791691b20c42cfb53214258e20a43227a7aa0c7aaf05364120dca2790aace44",
-    "tau.nodes": "569eb5cb580625ca533b03b399c848dfea4a3316a3bc0ea147142ec8f8bb9a7c",
-    "tau_t.nodes": "d391855b64ef8772aa03d86559d928a27863e4a5b13770fb493b0996c197cc00",
-    "tau_strong.nodes": "e74e6cbad0117fec835cf059624d63b34a74c487713d70503d7cfb390d402fb6",
-    "gamma.nodes": "20974dec8f07ca003eb2c77dd5f0c60da233cb7c1effd0fd9cf22988bb21622e",
-    "gamma_t.nodes": "92e2463b84348c71119a28a25bb75de2138acbd2868dcd6142d34e73c2f30c29",
-    "ec_t.nodes": "72f2ef331514db88544ea09a3262665df639bf9d85f0815e13e2b103b9077c79",
+    "tau": "0b472bcea47441f0ae1b0e79d1f7cdc3aa91c0c0860f873f7d10d698d971396f",
+    "tau_t": "d310110644f6b36b4940c439e7505c89e169b959067a1c88731b146b0cc83199",
+    "tau_strong": "23d9a90705d4026abbad4fc7b6bf3a7242f3b1a9919b079f97a793dfdc16abbe",
+    "gamma": "9dbd3e3a88432509b9a8afd719aff078cee4d64d96bbc69fb04c1bbc50d626e4",
+    "gamma_t": "6b3dd7deddf322d36c95e0b7eb67a4fe133a0df638311def2a2cef24bef192c5",
+    "ec_t": "325d8ad320fc29619eb74589fb7c07af57496b84f2acfebbee85aa2b6a54dd2d",
+    "tau.values": "e74043cd08e37094d5a33fa9dee7576adb0e586d25ebab558b6775d334973fa1",
+    "tau_t.values": "1d1ebe582b8592c1166ac95d707c2cc5ab595aa952fd87d16402dc329521daf8",
+    "tau_strong.values": "36a26da4d4e5a834167adc342ce61aa6139c2db19bf02e898ceb3ac4f9b0323b",
+    "gamma.values": "428f6534b4deff84a20f573ed388df1f5556bf58ccfc1a62887ff4b9e403e227",
+    "gamma_t.values": "acbf721e4a14380601b4b6194f055368a83394708c15071ba0e32881b3190147",
+    "ec_t.values": "0d673c5ac0a6e5e2ae0a453cb1400965219cde640076a2254c99343478b65233",
+    "tau.nodes": "682945cdd0a84679dc9a17520fd44a09f5efeb4323787ac98d86ee3c87c8165c",
+    "tau_t.nodes": "2ec211a2860ccad460d491c13c38382048b11162f7acafe6796fd73a40510dfe",
+    "tau_strong.nodes": "54477f156e0238479c25c4ee4c8052aedf0c581b8ee5a852b7bc604ee6b7327b",
+    "gamma.nodes": "adec04a59b6042281ce6fe896d04f3f8d975804cda3772cb7dbb94b874b613d8",
+    "gamma_t.nodes": "6feea86186e1fd4804ea9b6ca13ae33a5a2df9b7dad57b4f226f9e3fac41b981",
+    "ec_t.nodes": "6514f17d67e1f3641a8ee2afd46986a001da1f5a444f9bdb834bd1d625416342",
 }
 
 _HYPERGRAPH_SOLVERS = {
@@ -159,54 +162,9 @@ def replay_digests() -> dict:
                      for image, X in _images(H)), EXPECTED)
 
 
-def _union(*parts):
-    """The disjoint union, each part's vertices after the previous ones."""
-    n, edges = 0, []
-    for H in parts:
-        edges += [[v + n for v in e] for e in H.edges]
-        n += H.n
-    return hypergraph(n, edges)
-
-
-def _cubic(rng, n):
-    """3-regular graph by the pairing model with rejection, as a
-    hypergraph."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        order = rng.sample(len(points), len(points))
-        pairs = {tuple(sorted((points[order[i]], points[order[i + 1]])))
-                 for i in range(0, len(points), 2)}
-        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
-            return graph(n, sorted(pairs)).to_hypergraph()
-
-
-def _pendant(rng, k, core, m):
-    """k-uniform: m edges on a few shared core vertices, each filled up with
-    fresh vertices of degree 1."""
-    edges, n = [], core
-    for _ in range(m):
-        fresh = rng.randrange(k)
-        edges.append(rng.sample(core, k - fresh) + list(range(n, n + fresh)))
-        n += fresh
-    return hypergraph(n, edges)
-
-
-def _base(rng, k, star):
-    """A base of the family expansions, drawn as criterion 08 draws it."""
-    while True:
-        n = k + 1 + rng.randrange(3)
-        m = 2 + rng.randrange(2)
-        if m > math.comb(n, k):
-            continue
-        H = random_hypergraph(k, n, m, rng.next_u64(), require_class=True)
-        cc = class_check(H)
-        if cc.k == k and (cc.in_Hk_star or not star):
-            return H
-
-
 def _structured():
     """(tag, hypergraph) pairs of the structured population."""
-    rng = SplitMix64(split_seed(2026, 10))
+    rng = random.Random(split_seed(2026, 10))
     out = []
     for i in range(UNIONS):
         parts = []
@@ -214,35 +172,39 @@ def _structured():
             k = 2 + rng.randrange(2)
             n = k + 1 + rng.randrange(4)
             m = 2 + rng.randrange(min(3, math.comb(n, k) - 1))
-            parts.append(random_hypergraph(k, n, m, rng.next_u64(),
+            parts.append(random_hypergraph(k, n, m, rng.getrandbits(64),
                                            require_class=True))
-        out.append((("union", i), _union(*parts)))
-    # ec_t on the 2-section of a 4-uniform expansion takes millions of nodes
+        out.append((("union", i), disjoint_union(*parts)))
+    # ec_t on the 2-section of a 4-uniform expansion takes millions of nodes;
+    # a 3-uniform base in H_3^* has at least 5 vertices
     for i in range(FAMILIES):
         k = 2 + i % 2
-        out.append((("Fk", i), family_Fk(_base(rng, k, False), k).hypergraph))
+        base = family_base(rng, k, k + 1 + rng.randrange(3), False)
+        out.append((("Fk", i), family_Fk(base, k).hypergraph))
     for i in range(FAMILIES):
-        out.append((("Fk*", i),
-                    family_Fk_star(_base(rng, 3, True), 3).hypergraph))
+        base = family_base(rng, 3, 5 + rng.randrange(2), True)
+        out.append((("Fk*", i), family_Fk_star(base, 3).hypergraph))
     for n in (4, 6, 6, 8, 8, 10, 10, 12):
-        out.append((("cubic", n), _cubic(rng, n)))
+        out.append((("cubic", n), cubic_graph(rng, n).to_hypergraph()))
     for n in (4, 6, 8, 10):
-        C = _cubic(rng, n)
-        out.append((("cubic x2", n), _union(C, C)))
+        C = cubic_graph(rng, n).to_hypergraph()
+        out.append((("cubic x2", n), disjoint_union(C, C)))
     for i in range(PENDANTS):
         k = (2, 3, 4)[i % 3]
-        parts = [_pendant(rng, k, k + rng.randrange(4), 2 + rng.randrange(4))
+        parts = [pendant_hypergraph(rng, k, k + rng.randrange(4),
+                                    2 + rng.randrange(4))
                  for _ in range(1 + i % 3)]
-        out.append((("pendant", i), _union(*parts)))
+        out.append((("pendant", i), disjoint_union(*parts)))
     for n in range(2, 13):
         path = hypergraph(n, [[v, v + 1] for v in range(n - 1)])
         out.append((("path", n), path))
         if n >= 3:
             out.append((("cycle", n),
                         hypergraph(n, [[v, (v + 1) % n] for v in range(n)])))
-            out.append((("path+cycle", n), _union(path, out[-1][1])))
-    F = family_Fk(_base(rng, 2, False), 2).hypergraph
-    out.append((("Fk x2", 2), _union(F, F)))
+            out.append((("path+cycle", n), disjoint_union(path, out[-1][1])))
+    F = family_Fk(family_base(rng, 2, 3 + rng.randrange(3), False),
+                  2).hypergraph
+    out.append((("Fk x2", 2), disjoint_union(F, F)))
     return out
 
 

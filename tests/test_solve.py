@@ -9,8 +9,7 @@ import pytest
 
 from hypertrans.construct import SplitMix64, split_seed
 from hypertrans.hcore import (
-    bit_indices, class_check, hypergraph, mask_neighborhoods,
-    neighborhood_masks,
+    bit_indices, hypergraph, mask_neighborhoods, neighborhood_masks,
 )
 from hypertrans.solve import (
     InfeasibleError,
@@ -37,6 +36,10 @@ from hypertrans.xform import (
     family_Fk, family_Fk_star, graph, onh, two_section,
 )
 from hypertrans.xsearch import random_hypergraph
+
+from shapes import (
+    cubic_graph, disjoint_union, family_base, pendant_hypergraph,
+)
 
 
 def c5():
@@ -144,14 +147,6 @@ def test_witnesses_are_valid_and_deterministic():
             assert len(a.witness) == a.value
 
 
-def _disjoint_union(*parts):
-    n, edges = 0, []
-    for H in parts:
-        edges += [[v + n for v in e] for e in H.edges]
-        n += H.n
-    return hypergraph(n, edges)
-
-
 def _twin_and_nested(rng, H):
     """H plus a twin of one vertex (a new vertex in exactly its edges) and a
     copy of one edge grown by one vertex, so that the copy nests over it."""
@@ -162,14 +157,6 @@ def _twin_and_nested(rng, H):
     if outside:
         edges.append(e + [rng.choice(outside)])
     return hypergraph(H.n + 1, edges)
-
-
-def _family_base(rng, k, n, star):
-    while True:
-        F = random_hypergraph(k, n, 2, rng.getrandbits(64), require_class=True)
-        cc = class_check(F)
-        if cc.k == k and (cc.in_Hk_star or not star):
-            return F
 
 
 _ALL = ("tau", "tau_t", "tau_strong", "gamma", "gamma_t")
@@ -215,32 +202,6 @@ def _leafy_graph(rng, n):
     return graph(n, sorted(edges))
 
 
-def _pendant_hypergraph(rng, k, core, m):
-    """k-uniform: m edges on a few shared core vertices, each filled up with
-    fresh vertices of degree 1."""
-    edges, n = [], core
-    for _ in range(m):
-        fresh = rng.randint(0, k - 1)
-        edges.append(rng.sample(range(core), k - fresh)
-                     + list(range(n, n + fresh)))
-        n += fresh
-    return hypergraph(n, edges)
-
-
-def _cubic_graph(rng, n):
-    """Random 3-regular graph by the pairing model with rejection.  The
-    shuffle is spelled out, as random.shuffle does it, so that a SplitMix64
-    draws the same graphs as perfbench does."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        for i in range(len(points) - 1, 0, -1):
-            j = rng.randrange(i + 1)
-            points[i], points[j] = points[j], points[i]
-        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, 3 * n, 2)}
-        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
-            return graph(n, sorted(pairs))
-
-
 def _side_and_demand_cases():
     """(instance, invariants, oracle cap) for tau_t, tau_strong and ec_t:
     2-uniform components that are single edges or full of leaves, degree-1
@@ -253,14 +214,14 @@ def _side_and_demand_cases():
         G = _leafy_graph(rng, rng.randint(3, 11))
         yield G, ("ec_t",), 24
         yield G.to_hypergraph(), ("tau_t", "tau_strong"), 24
-        yield (_disjoint_union(single.to_hypergraph(), G.to_hypergraph()),
+        yield (disjoint_union(single.to_hypergraph(), G.to_hypergraph()),
                ("tau_t", "tau_strong"), 24)
     for _ in range(40):
         k = rng.choice((3, 4))
-        H = _pendant_hypergraph(rng, k, rng.randint(k, 7), rng.randint(2, 5))
+        H = pendant_hypergraph(rng, k, rng.randint(k, 7), rng.randint(2, 5))
         yield H, ("tau_t", "tau_strong"), 24
     for n in (4, 6, 6, 8, 8, 8):
-        G = _cubic_graph(rng, n)
+        G = cubic_graph(rng, n)
         yield G, ("ec_t",), 24
         yield G.to_hypergraph(), ("tau_t", "tau_strong"), 24
 
@@ -275,16 +236,16 @@ def _reduction_cases():
     for _ in range(25):
         parts = [_rand_hg(rng, n_max=5, m_max=4)
                  for _ in range(rng.randint(2, 3))]
-        yield _disjoint_union(*parts), _ALL, 24
+        yield disjoint_union(*parts), _ALL, 24
     for _ in range(30):
         yield _twin_and_nested(rng, _rand_hg(rng, n_max=8, m_max=6)), _ALL, 24
     for n in (3, 4, 5):
-        yield family_Fk(_family_base(rng, 2, n, False), 2).hypergraph, _ALL, 24
-    yield (family_Fk(_family_base(rng, 3, 4, False), 3).hypergraph,
+        yield family_Fk(family_base(rng, 2, n, False), 2).hypergraph, _ALL, 24
+    yield (family_Fk(family_base(rng, 3, 4, False), 3).hypergraph,
            ("tau", "gamma", "gamma_t"), 24)
     # the smallest 3-uniform star base has 5 vertices, so 25 items: gamma_t
     # (10 of them) is beyond exhaustion, criterion 08 checks its closed form
-    yield (family_Fk_star(_family_base(rng, 3, 5, True), 3).hypergraph,
+    yield (family_Fk_star(family_base(rng, 3, 5, True), 3).hypergraph,
            ("tau", "gamma"), 25)
     yield from _side_and_demand_cases()
 
@@ -555,6 +516,11 @@ def test_zero_gap_rewalk_reading_lower_stops_restricting(monkeypatch):
     assert sum(fired.values()) >= 40, fired
 
 
+# Every F_3 draw of test_gamma_t_cuts_match_oracle fires; with the in-class
+# draws' few, this many clear its floor of 50 with room to spare.
+F3_DRAWS = 60
+
+
 def test_gamma_t_cuts_match_oracle(monkeypatch):
     """gamma_t adds a rank-2 cut per vertex u, two picks inside N(u) and the
     N(c) of every c in N(u), and a node keeps the walk that takes the cuts
@@ -563,22 +529,22 @@ def test_gamma_t_cuts_match_oracle(monkeypatch):
     _cuts_first: that walk reads more than the plain one, or the bound more
     than the walk of the requirements alone.  The solver must agree with
     the oracle on each.  Draws of _rand_hg get there once or twice in a
-    thousand, too seldom to be worth drawing, so three other kinds are
-    drawn: pendant hypergraphs, whose degree-1 vertices have small
-    neighborhoods as in the family expansions, in-class k-uniform ones
-    with their 2-sections, the shapes of criterion 06, where a cut of N(u)
-    alone gives wrong values, and F_3 expansions of 4-vertex bases.
+    thousand, too seldom to be worth drawing, so two other kinds are drawn:
+    in-class k-uniform ones with their 2-sections, the shapes of criterion
+    06, where a cut of N(u) alone gives wrong values, and F_3 expansions of
+    4-vertex bases.
 
-    The requirements of a pendant draw mostly fall into parts that share no
-    item, each solved apart and closed at zero gap, where no cut is added,
-    and a cut reaching another part is dropped: the pendant draws fire no
-    more, the in-class ones six times.  Each gadget of an expansion needs
-    two picks where the packing counts one, so the cuts fire on every F_3
-    expansion.  Its base is drawn at criterion 08's smallest order, 4
-    vertices (16 in the expansion), since the oracle takes about 3 s at 20
-    vertices against 0.15 s at 16.  Such bases have only a few labellings,
-    so the expansion's vertices are relabelled at random.  F_2 expansions
-    never fire.  At least 50 instances must fire."""
+    The in-class draws fire only a few times: their requirements mostly
+    fall into parts that share no item, each solved apart, mostly closing
+    at zero gap, where no cut is added, and a cut reaching another part is
+    dropped.  Pendant hypergraphs fire none for the same reason, so they
+    are not drawn.  Each gadget of an expansion needs two picks where the
+    packing counts one, so the cuts fire on every F_3 expansion.  Its base
+    is drawn at criterion 08's smallest order, 4 vertices (16 in the
+    expansion), since the oracle takes about 3 s at 20 vertices against
+    0.15 s at 16.  Such bases have only a few labellings, so the
+    expansion's vertices are relabelled at random.  F_2 expansions never
+    fire.  At least 50 instances must fire."""
     module = sys.modules["hypertrans.solve"]
     cuts_first, packing = module._cuts_first, module._packing
     fired = []
@@ -597,19 +563,16 @@ def test_gamma_t_cuts_match_oracle(monkeypatch):
             F = random_hypergraph(k, n,
                                   rng.randint(2, min(5, comb(n, k) - 1)),
                                   rng.getrandbits(64), require_class=True)
-            yield "pendant", _pendant_hypergraph(rng, rng.choice((2, 3)),
-                                                 rng.randint(3, 5),
-                                                 rng.randint(2, 5))
             yield "class", F
             yield "class", two_section(F).to_hypergraph()
-        for _ in range(46):
-            H = family_Fk(_family_base(rng, 3, 4, False), 3).hypergraph
+        for _ in range(F3_DRAWS):
+            H = family_Fk(family_base(rng, 3, 4, False), 3).hypergraph
             label = rng.sample(range(H.n), H.n)
             yield "F_3", hypergraph(H.n, [[label[v] for v in e]
                                           for e in H.edges])
 
     monkeypatch.setattr(module, "_cuts_first", spy)
-    count = dict.fromkeys(("pendant", "class", "F_3"), 0)
+    count = dict.fromkeys(("class", "F_3"), 0)
     for kind, H in draws(random.Random(7070)):
         fired.clear()
         try:
@@ -721,7 +684,7 @@ def test_zero_gap_fixing_nodes():
 
 
 # ec_t search nodes on three pairing-model cubic graphs for each n = 12, 14,
-# ..., 24, drawn by _cubic_graph from random.Random(0), while the first
+# ..., 24, drawn by cubic_graph from random.Random(0), while the first
 # incumbent covered every requirement before giving lonely picks a neighbor:
 # 24,382.  The pair-aware incumbent must cut at least 60% of them.  Every one
 # of these graphs has ec_t = ceil(2n / 3).  Before coverage fixing they took
@@ -735,7 +698,7 @@ def test_ec_t_cubic_nodes():
     nodes = 0
     for n in range(12, 25, 2):
         for _ in range(3):
-            G = _cubic_graph(rng, n)
+            G = cubic_graph(rng, n)
             got = ec_t(G)
             assert got.value == -(-2 * n // 3) == len(got.witness)
             assert is_total_edge_cover(G, got.witness)
@@ -754,13 +717,13 @@ UNION_NODES = {"tau_t": 150, "tau_strong": 150, "ec_t": 3}
 
 
 def test_disjoint_union_nodes():
-    G = _cubic_graph(SplitMix64(5), 20)
+    G = cubic_graph(SplitMix64(5), 20)
     doubled = graph(40, list(G.edges) + [(u + 20, v + 20) for u, v in G.edges])
     cases = (
-        ("tau_t", 36, _disjoint_union(*(
+        ("tau_t", 36, disjoint_union(*(
             random_hypergraph(3, 30, 25, split_seed(11, c), require_class=True)
             for c in range(4)))),
-        ("tau_strong", 45, _disjoint_union(*(
+        ("tau_strong", 45, disjoint_union(*(
             random_hypergraph(4, 24, 22, split_seed(11, c), require_class=True)
             for c in range(4)))),
         ("ec_t", 28, doubled),
@@ -770,6 +733,40 @@ def test_disjoint_union_nodes():
         assert got.value == want == len(got.witness), (inv, got.value)
         assert _DEFINITIONS[inv](obj, got.witness)
         assert got.nodes <= UNION_NODES[inv], (inv, got.nodes)
+
+
+def test_union_solves_its_parts_apart():
+    """A disjoint union is solved part by part: its value, its witness and
+    its node count are those of its parts solved alone, put side by side,
+    for every invariant, and it is infeasible when a part is.  So a union's
+    witness does not hang on how a search of the whole would have met its
+    parts."""
+    rng = random.Random(9090)
+    for _ in range(150):
+        parts = [_rand_hg(rng, n_max=6, m_max=4)
+                 for _ in range(rng.randint(1, 2))]
+        parts.append(pendant_hypergraph(rng, rng.choice((2, 3)),
+                                        rng.randint(3, 5), rng.randint(2, 4)))
+        U = disjoint_union(*parts)
+        for inv in _DEFINITIONS:
+            whole, alone = U, parts
+            if inv == "ec_t":
+                whole, alone = two_section(U), [two_section(P) for P in parts]
+            try:
+                got = [solve(P, inv) for P in alone]
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve(whole, inv)
+                continue
+            witness, n = [], 0
+            for P, res in zip(alone, got):
+                witness += [tuple(u + n for u in e) if inv == "ec_t" else e + n
+                            for e in res.witness]
+                n += P.n
+            want = (sum(r.value for r in got), sorted(witness),
+                    sum(r.nodes for r in got))
+            res = solve(whole, inv)
+            assert (res.value, sorted(res.witness), res.nodes) == want, inv
 
 
 def test_sibling_dominance():
@@ -798,7 +795,7 @@ def test_sibling_dominance():
 # Search nodes on fixed populations before the sibling rule, and with it:
 # tau on random_hypergraph(3, 60, 50, s, require_class=True), s = 0..9, 2,997
 # and 2,018; gamma_t on the family_Fk_star expansions of five 4-uniform
-# 6-vertex bases drawn by _family_base from random.Random(808), 4,092 and
+# 6-vertex bases drawn by family_base from random.Random(808), 4,092 and
 # 2,042; tau_strong on the population of test_tau_strong_nodes, 7,825 and
 # 6,020 (checked there).  The ceilings are the counts with the rule.  The
 # gamma_t expansions took 1,314 nodes before the rank-2 cuts and take 5 with
@@ -813,7 +810,7 @@ def test_sibling_dominance_nodes():
         "tau": [(random_hypergraph(3, 60, 50, s, require_class=True), want)
                 for s, want in enumerate((15, 15, 16, 15, 17, 17, 16, 16, 17,
                                           17))],
-        "gamma_t": [(family_Fk_star(_family_base(rng, 4, 6, True), 4)
+        "gamma_t": [(family_Fk_star(family_base(rng, 4, 6, True), 4)
                      .hypergraph, 12) for _ in range(5)],
     }
     for inv, population in populations.items():

@@ -1,22 +1,21 @@
 """In-process A/B of the exact core's small calls on two trees.
 
-    python3 tools/pool_calls_ab.py --parent TREE --change TREE \\
-        [--seed 1] [--rounds 20]
+    python3 tools/pool_calls_ab.py --parent TREE --change TREE
 
 Each tree is a checkout (for example made with `git archive`) holding
 `src/hypertrans/`; the parent tree also holds `perfbench/`.  The arguments
 of every `_min_selection` call of one pool-enumerate pass are captured
-first, by running that pass once with the parent's perfbench and package
-(its set-up writes instance files under the parent's perfbench/out).  Then
-both packages are loaded side by side under names of their own, and each
-round runs all captured calls on each side, in chunks of CHUNK calls that
-alternate between the sides, so that a slow stretch of a shared host hits
-both alike: the parent goes first in odd rounds and the change in even
-ones.  Every call must give the same
-(size, mask), or the same InfeasibleError text, on both sides; node counts
-may differ.  Prints the number of calls, the median and the minimum seconds
-of a round per side, the ratio of the medians and the rounds the change
-won.  Standard library only.
+first, by running that pass once at seed SEED with the parent's perfbench
+and package (its set-up writes instance files under the parent's
+perfbench/out).  Then both packages are loaded side by side under names of
+their own, and each of ROUNDS rounds runs all captured calls on each side,
+in chunks of CHUNK calls that alternate between the sides, so that a slow
+stretch of a shared host hits both alike: the parent goes first in odd
+rounds and the change in even ones.  Every call must give the same (size,
+mask), or the same InfeasibleError text, on both sides; node counts may
+differ.  Prints the number of calls, the median and the minimum seconds of
+a round per side, the ratio of the medians and the rounds the change won.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -31,8 +30,12 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+SEED = 1
+ROUNDS = 20
+CHUNK = 500
 
-def _capture(tree: Path, seed: int) -> list[tuple]:
+
+def _capture(tree: Path) -> list[tuple]:
     """(nitems, reqs, total, nb) of each _min_selection call of one
     pool-enumerate pass of tree."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
@@ -52,7 +55,7 @@ def _capture(tree: Path, seed: int) -> list[tuple]:
 
         solve._min_selection = spy
         setup, run = workloads.WORKLOADS["pool-enumerate"]
-        run(setup(seed, NullTracer()), Recorder(NullTracer()))
+        run(setup(SEED, NullTracer()), Recorder(NullTracer()))
         solve._min_selection = inner
         return calls
     finally:
@@ -82,9 +85,6 @@ def _outcomes(solve, calls) -> list:
     return out
 
 
-CHUNK = 500
-
-
 def _run(solve, calls) -> float:
     fn, error = solve._min_selection, solve.InfeasibleError
     t = perf_counter()
@@ -100,10 +100,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=20)
     args = ap.parse_args(argv)
-    calls = _capture(args.parent.resolve(), args.seed)
+    calls = _capture(args.parent.resolve())
     sides = {"parent": _load(args.parent.resolve(), "ab_parent"),
              "change": _load(args.change.resolve(), "ab_change")}
     want = _outcomes(sides["parent"], calls)
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     times = {side: [] for side in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         spent = dict.fromkeys(order, 0.0)
         gc.collect()
@@ -133,7 +131,7 @@ def main(argv=None) -> int:
     ratio = statistics.median(change) / statistics.median(parent)
     wins = sum(c < p for c, p in zip(change, parent))
     print(f"change / parent median {ratio:.3f}, change faster in {wins} of "
-          f"{args.rounds} rounds")
+          f"{ROUNDS} rounds")
     return 0
 
 
