@@ -10,7 +10,6 @@ returned set is re-validated against the definitional predicate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,23 +57,36 @@ class SplitMix64:
         return self.next_u64() / 2**64
 
     def randrange(self, n: int) -> int:
+        """Uniform in 0..n-1 by rejection: draws from the top 2**64 % n
+        values are discarded."""
         if n <= 0:
             raise ValueError("empty range")
         limit = 2**64 - (2**64 % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        state = self.state
+        while True:             # next_u64 inline, on a local state
+            state = (state + _GOLDEN) & _M64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+            z ^= z >> 31
+            if z < limit:
+                self.state = state
+                return z % n
 
     def sample(self, n: int, k: int) -> list[int]:
-        """k distinct values from 0..n-1, partial Fisher-Yates order."""
-        if k > n:
-            raise ValueError("sample larger than population")
-        pool = list(range(n))
+        """k distinct values from 0..n-1 in partial Fisher-Yates order.
+
+        The shuffled list is kept sparse: moved maps each position a swap
+        has touched to the value now there, and every other position holds
+        its own index, so a draw costs O(k) whatever n is."""
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or negative")
+        moved: dict[int, int] = {}
+        out = []
         for i in range(k):
             j = i + self.randrange(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            out.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return out
 
 
 @dataclass(frozen=True)
@@ -508,18 +520,45 @@ def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
     return out
 
 
+def _strong_check(H: Hypergraph):
+    """valid(union): whether union holds two or more vertices of every edge.
+
+    It reads only H's edges, not the kernel's classification.  inc[v] has
+    bit i set when edge i holds v.  Folding the union's incidence ints into
+    two saturating planes, once and twice, leaves bit i in twice exactly
+    when edge i holds two vertices of the union: one pass over the union,
+    not over the edges.
+    """
+    inc = [0] * H.n
+    for i, e in enumerate(H.edges):
+        for v in e:
+            inc[v] |= 1 << i
+    every = (1 << H.m) - 1
+
+    def valid(union: int) -> bool:
+        once = twice = 0
+        while union:
+            low = union & -union
+            union ^= low
+            a = inc[low.bit_length() - 1]
+            twice |= once & a
+            once |= a
+        return twice == every
+
+    return valid
+
+
 def _trial_rows(H: Hypergraph, c: float, seed: int, lo: int, hi: int):
     _, p = _strong_params(H, c)
-    masks = H.edge_masks()
-    draw = _strong_kernel(masks, H.n, p)
+    draw = _strong_kernel(H.edge_masks(), H.n, p)
+    valid = _strong_check(H)
     rows = []
     for i in range(lo, hi):
         x1, x2, x3 = draw(SplitMix64(split_seed(seed, i)))
         union = x1 | x2 | x3
-        valid = all((m & union).bit_count() >= 2 for m in masks)
         rows.append(
             (union.bit_count(), x1.bit_count(), x2.bit_count(),
-             x3.bit_count(), valid)
+             x3.bit_count(), valid(union))
         )
     return rows
 
@@ -533,6 +572,10 @@ def strong_transversal_trials(
         raise ValueError("need at least one trial")
     k, p = _strong_params(H, c)
     if jobs > 1 and trials >= 4 * jobs:
+        # the pool's import costs a quarter of the CLI's start-up, so only
+        # a run that asks for workers pays it
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [trials * w // jobs for w in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = pool.map(_trial_rows, [H] * jobs, [c] * jobs,

@@ -105,7 +105,7 @@ def degree_profile(H: Hypergraph) -> DegreeProfile:
     d = H.degrees()
     return DegreeProfile(
         degrees=tuple(d),
-        n1=sum(1 for x in d if x == 1),
+        n1=d.count(1),
         delta=min(d) if d else 0,
         Delta=max(d) if d else 0,
     )
@@ -136,15 +136,14 @@ def class_check(H: Hypergraph) -> ClassCheck:
     dp = degree_profile(H)
     isolated_vertex = dp.delta == 0 and H.n > 0
     masks = H.edge_masks()
-    # an edge meets another exactly when it has a vertex of degree >= 2
-    shared_vertices = _mask(v for v, d in enumerate(dp.degrees) if d >= 2)
+    # an edge meets another exactly when it has a vertex of degree >= 2:
+    # folding the masks into two saturating planes leaves those in the second
+    once = shared_vertices = 0
+    for a in masks:
+        shared_vertices |= once & a
+        once |= a
     isolated_edge = not all(a & shared_vertices for a in masks)
-    max_shared = 0
-    for i, a in enumerate(masks):        # each unordered pair once
-        for b in masks[i + 1:]:
-            shared = (a & b).bit_count()
-            if shared > max_shared:
-                max_shared = shared
+    max_shared = _max_shared(H, masks, dp.degrees)
     linear = max_shared <= 1
     in_hk = (
         uniform
@@ -166,6 +165,33 @@ def class_check(H: Hypergraph) -> ClassCheck:
         min_degree=dp.delta,
         max_degree=dp.Delta,
     )
+
+
+def _max_shared(H: Hypergraph, masks, degrees) -> int:
+    """The most vertices two edges share, 0 with fewer than two edges.
+
+    Edges that share vertices meet, so it is enough to compare the pairs
+    inside each vertex's list of edges.  Filling the lists and comparing
+    their pairs costs about sum d(d+1) against m(m-1) for every pair once,
+    counted as ordered pairs; the cheaper way is taken.  The first test is
+    the second's quick necessary part, since sum d(d+1) >= 2 sum d.
+    """
+    pairs = len(masks) * (len(masks) - 1)
+    if 2 * sum(degrees) < pairs and sum(d * (d + 1) for d in degrees) < pairs:
+        groups: list = [[] for _ in range(H.n)]
+        for a, e in zip(masks, H.edges):
+            for v in e:
+                groups[v].append(a)
+    else:
+        groups = [masks]
+    best = 0
+    for group in groups:
+        for i, a in enumerate(group):       # each unordered pair once
+            for b in group[i + 1:]:
+                shared = (a & b).bit_count()
+                if shared > best:
+                    best = shared
+    return best
 
 
 def neighborhood(H: Hypergraph, v: int) -> set[int]:

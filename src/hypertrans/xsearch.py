@@ -15,7 +15,6 @@ rationals so tightness (slack zero) is a meaningful statement.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -332,6 +331,8 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
     """Evaluate every theorem row whose class precondition holds; the rest
     are listed as skipped with the failing precondition spelled out."""
     if instance_id is None:
+        import hashlib      # deferred: only this default id needs it
+
         instance_id = hashlib.sha256(H.to_text().encode()).hexdigest()[:12]
     cc = class_check(H)
     dp = degree_profile(H)

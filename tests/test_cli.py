@@ -299,6 +299,41 @@ def test_jobs_validated(tmp_path, capsys, monkeypatch):
     assert cli._workers(2) == 1
 
 
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def test_startup_loads_no_process_pool(tmp_path):
+    # importing the CLI, and default runs of the two subcommands that take
+    # --jobs, leave the process pool unloaded; --jobs 2 loads it
+    g = tmp_path / "ring4.hg"
+    g.write_text(RING4)
+    child = (
+        "import contextlib, io, sys\n"
+        "import hypertrans.cli as cli\n"
+        "def pool():\n"
+        f"    return [m for m in {_POOL_MODULES!r} if m in sys.modules]\n"
+        "assert pool() == [], ('import', pool())\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        f"trials = ['construct', '--method', 'strong-trials', {str(g)!r},\n"
+        "          '--c', '3.0', '--trials', '8', '--seed', '2']\n"
+        "run(*trials)\n"
+        "run('sweep', '--k-list', '3', '--trials', '8', '--seed', '2')\n"
+        "assert pool() == [], ('default runs', pool())\n"
+        "run(*trials, '--jobs', '2')\n"
+        "print(*pool())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    # the pool runs only on a machine with two or more CPUs
+    if (os.cpu_count() or 1) > 1:
+        assert run.stdout.split() == list(_POOL_MODULES)
+
+
 def test_python_dash_m_from_a_checkout():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

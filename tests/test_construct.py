@@ -12,6 +12,7 @@ from hypertrans.construct import (
     SplitMix64,
     _draw_threshold,
     _repair_isolated,
+    _strong_check,
     _strong_kernel,
     _strong_params,
     _trial_rows,
@@ -264,6 +265,58 @@ def test_split_rng():
         SplitMix64(1).sample(3, 4)
 
 
+class _SplitMix64Reference(SplitMix64):
+    """randrange and sample as first written: every draw through next_u64,
+    and sample shuffles a full list of 0..n-1."""
+
+    def randrange(self, n):
+        limit = 2**64 - (2**64 % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def sample(self, n, k):
+        pool = list(range(n))
+        for i in range(k):
+            j = i + self.randrange(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+
+def test_rng_methods_match_reference():
+    draws = random.Random(64)
+    bounds = [1, 2, 3, 7, 10_000, 2**32 + 1, 2**63 + 1, 2**64 - 1, 2**64]
+    bounds += [draws.randrange(1, 2**64 + 1) for _ in range(40)]
+    for idx, n in enumerate(bounds):
+        want, got = (cls(split_seed(71, idx))
+                     for cls in (_SplitMix64Reference, SplitMix64))
+        assert [got.randrange(n) for _ in range(25)] \
+            == [want.randrange(n) for _ in range(25)]
+        assert got.state == want.state
+    # 2**64 - 1 lies in the rejected top of both ranges: a second draw
+    state = _state_before(2**64 - 1)
+    for n in (3, 2**64 - 1):
+        want, got = _SplitMix64Reference(state), SplitMix64(state)
+        assert got.randrange(n) == want.randrange(n)
+        assert got.state == want.state == (state + 2 * _GOLDEN) & _M64
+    shapes = [(0, 0), (1, 0), (1, 1), (2, 2), (9, 9), (50, 17), (10_000, 0),
+              (10_000, 1), (10_000, 12), (10_000, 10_000)]
+    shapes += [(n, draws.randint(0, n))
+               for n in (draws.randint(1, 300) for _ in range(60))]
+    for idx, (n, k) in enumerate(shapes):
+        want, got = (cls(split_seed(72, idx))
+                     for cls in (_SplitMix64Reference, SplitMix64))
+        assert got.sample(n, k) == want.sample(n, k)
+        assert got.state == want.state
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            SplitMix64(1).randrange(bad)
+    for n, k in ((3, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            SplitMix64(1).sample(n, k)
+
+
 def test_strong_transversal_basic():
     rng = random.Random(5)
     for _ in range(25):
@@ -433,6 +486,33 @@ def _valid_c(H, c):
     except ValueError:   # ln(ck)/(k-1) above 1
         return False
     return True
+
+
+def test_strong_check_matches_per_edge_count():
+    # random unions, and unions that hold two vertices of every edge before
+    # one edge is cut back to none or one of its vertices
+    rng = random.Random(48)
+    seen = set()
+    for H in _kernel_instances() + [Hypergraph(1, ((0,),))]:
+        masks = H.edge_masks()
+        valid = _strong_check(H)
+        for trial in range(80):
+            if trial % 2:
+                union = rng.getrandbits(H.n) | rng.getrandbits(H.n)
+                if trial % 4 == 1:
+                    union &= rng.getrandbits(H.n)
+            else:
+                union = 0
+                for mask in masks:
+                    lo = mask & -mask
+                    union |= lo | (mask ^ lo) & -(mask ^ lo)
+                cut = rng.choice(masks)
+                keep = cut & -cut if trial % 4 else 0
+                union = union & ~cut | keep
+            hits = min((mask & union).bit_count() for mask in masks)
+            seen.add(min(hits, 2))
+            assert valid(union) == (hits >= 2)
+    assert seen == {0, 1, 2}
 
 
 def test_trial_rows_match_reference_loop():

@@ -6,6 +6,7 @@ import pytest
 from hypertrans.hcore import (
     MAX_HEADER_COUNT,
     FormatError,
+    _max_shared,
     class_check,
     class_floor_check,
     components,
@@ -59,6 +60,7 @@ def test_degree_profile():
     assert dp.degrees == (1, 2, 2, 1)
     assert dp.n1 == 2
     assert dp.delta == 1 and dp.Delta == 2
+    assert degree_profile(hypergraph(5, [[0, 1, 2], [2, 3, 4]])).n1 == 4
 
 
 def test_class_check_basic():
@@ -108,6 +110,63 @@ def test_class_check_pairwise_definition():
         assert cc.is_linear == all(s <= 1 for s in shared)
         if cc.in_Hk:
             assert cc.in_Hk_star == (cc.k >= 3 and max(shared) <= cc.k - 2)
+
+
+def _loose_cycle_plus(rng, k, m, extra):
+    """m k-edges around a cycle, each sharing one vertex with the next, plus
+    extra edges that each take 1..k-1 vertices of a cycle edge and the rest
+    anywhere."""
+    n = m * (k - 1)
+    edges = [[(i * (k - 1) + j) % n for j in range(k)] for i in range(m)]
+    for _ in range(extra):
+        base = rng.choice(edges[:m])
+        keep = rng.sample(base, rng.randint(1, k - 1))
+        rest = [v for v in range(n) if v not in base]
+        edges.append(keep + rng.sample(rest, k - len(keep)))
+    perm = rng.sample(range(n), n)
+    return hypergraph(n, [[perm[v] for v in e] for e in edges])
+
+
+def _lowest_vertex_pairs(k, count):
+    """count disjoint pairs of k-edges, the two of a pair meeting only at
+    their lowest vertex."""
+    edges = []
+    for c in range(0, count * (2 * k - 1), 2 * k - 1):
+        edges += [[c, *range(c + 1, c + k)], [c, *range(c + k, c + 2 * k - 1)]]
+    return hypergraph(count * (2 * k - 1), edges)
+
+
+def test_max_shared_matches_pairwise_rule():
+    # sparse instances (disjoint pairs of edges, relabelled loose cycles),
+    # which compare only the edges at each vertex, and dense draws on few
+    # vertices, which compare every pair
+    rng = random.Random(2024)
+    seen = set()
+    for k in (2, 3, 4, 5, 7, 10, 20, 35, 50):
+        for trial in range(7):
+            if trial == 0:
+                H = _lowest_vertex_pairs(k, 8)
+            elif trial < 5:
+                H = _loose_cycle_plus(rng, k, rng.randint(2 * k + 4, 2 * k + 40),
+                                      rng.choice((0, 0, 1, 3)))
+            else:
+                n = k + rng.randint(1, k + 2)
+                H = hypergraph(n, [rng.sample(range(n), k)
+                                   for _ in range(rng.randint(2, 40))])
+            sets = [set(e) for e in H.edges]
+            want = max((len(a & b) for a, b in itertools.combinations(sets, 2)),
+                       default=0)
+            degrees = H.degrees()
+            assert _max_shared(H, H.edge_masks(), degrees) == want
+            cc = class_check(H)
+            assert cc.is_linear == (want <= 1)
+            assert cc.in_Hk_star == (cc.in_Hk and k >= 3 and want <= k - 2)
+            sparse = sum(d * (d + 1) for d in degrees) < H.m * (H.m - 1)
+            seen.add(("sparse" if sparse else "dense",
+                      "linear" if cc.is_linear else "non-linear"))
+            seen.add("H_k*" if cc.in_Hk_star else "H_k" if cc.in_Hk else "out")
+    assert seen >= {("sparse", "linear"), ("sparse", "non-linear"),
+                    ("dense", "non-linear"), "H_k*", "H_k", "out"}
 
 
 def test_neighborhood():
