@@ -63,11 +63,9 @@ class SplitMix64:
             raise ValueError("empty range")
         limit = 2**64 - (2**64 % n)
         state = self.state
-        while True:             # next_u64 inline, on a local state
+        while True:             # next_u64, on a local state
             state = (state + _GOLDEN) & _M64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-            z ^= z >> 31
+            z = _mix(state)
             if z < limit:
                 self.state = state
                 return z % n
@@ -520,45 +518,18 @@ def randomized_strong_transversal(H: Hypergraph, c: float, seed: int) -> tuple:
     return out
 
 
-def _strong_check(H: Hypergraph):
-    """valid(union): whether union holds two or more vertices of every edge.
-
-    It reads only H's edges, not the kernel's classification.  inc[v] has
-    bit i set when edge i holds v.  Folding the union's incidence ints into
-    two saturating planes, once and twice, leaves bit i in twice exactly
-    when edge i holds two vertices of the union: one pass over the union,
-    not over the edges.
-    """
-    inc = [0] * H.n
-    for i, e in enumerate(H.edges):
-        for v in e:
-            inc[v] |= 1 << i
-    every = (1 << H.m) - 1
-
-    def valid(union: int) -> bool:
-        once = twice = 0
-        while union:
-            low = union & -union
-            union ^= low
-            a = inc[low.bit_length() - 1]
-            twice |= once & a
-            once |= a
-        return twice == every
-
-    return valid
-
-
 def _trial_rows(H: Hypergraph, c: float, seed: int, lo: int, hi: int):
     _, p = _strong_params(H, c)
-    draw = _strong_kernel(H.edge_masks(), H.n, p)
-    valid = _strong_check(H)
+    masks = H.edge_masks()
+    draw = _strong_kernel(masks, H.n, p)
     rows = []
     for i in range(lo, hi):
         x1, x2, x3 = draw(SplitMix64(split_seed(seed, i)))
         union = x1 | x2 | x3
+        valid = all((m & union).bit_count() >= 2 for m in masks)
         rows.append(
             (union.bit_count(), x1.bit_count(), x2.bit_count(),
-             x3.bit_count(), valid(union))
+             x3.bit_count(), valid)
         )
     return rows
 

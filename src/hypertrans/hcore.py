@@ -105,7 +105,7 @@ def degree_profile(H: Hypergraph) -> DegreeProfile:
     d = H.degrees()
     return DegreeProfile(
         degrees=tuple(d),
-        n1=d.count(1),
+        n1=sum(1 for x in d if x == 1),
         delta=min(d) if d else 0,
         Delta=max(d) if d else 0,
     )

@@ -12,7 +12,6 @@ from hypertrans.construct import (
     SplitMix64,
     _draw_threshold,
     _repair_isolated,
-    _strong_check,
     _strong_kernel,
     _strong_params,
     _trial_rows,
@@ -486,33 +485,6 @@ def _valid_c(H, c):
     except ValueError:   # ln(ck)/(k-1) above 1
         return False
     return True
-
-
-def test_strong_check_matches_per_edge_count():
-    # random unions, and unions that hold two vertices of every edge before
-    # one edge is cut back to none or one of its vertices
-    rng = random.Random(48)
-    seen = set()
-    for H in _kernel_instances() + [Hypergraph(1, ((0,),))]:
-        masks = H.edge_masks()
-        valid = _strong_check(H)
-        for trial in range(80):
-            if trial % 2:
-                union = rng.getrandbits(H.n) | rng.getrandbits(H.n)
-                if trial % 4 == 1:
-                    union &= rng.getrandbits(H.n)
-            else:
-                union = 0
-                for mask in masks:
-                    lo = mask & -mask
-                    union |= lo | (mask ^ lo) & -(mask ^ lo)
-                cut = rng.choice(masks)
-                keep = cut & -cut if trial % 4 else 0
-                union = union & ~cut | keep
-            hits = min((mask & union).bit_count() for mask in masks)
-            seen.add(min(hits, 2))
-            assert valid(union) == (hits >= 2)
-    assert seen == {0, 1, 2}
 
 
 def test_trial_rows_match_reference_loop():

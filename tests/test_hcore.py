@@ -60,7 +60,6 @@ def test_degree_profile():
     assert dp.degrees == (1, 2, 2, 1)
     assert dp.n1 == 2
     assert dp.delta == 1 and dp.Delta == 2
-    assert degree_profile(hypergraph(5, [[0, 1, 2], [2, 3, 4]])).n1 == 4
 
 
 def test_class_check_basic():
