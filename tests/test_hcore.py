@@ -166,6 +166,12 @@ def test_max_shared_matches_pairwise_rule():
             seen.add("H_k*" if cc.in_Hk_star else "H_k" if cc.in_Hk else "out")
     assert seen >= {("sparse", "linear"), ("sparse", "non-linear"),
                     ("dense", "non-linear"), "H_k*", "H_k", "out"}
+    # on the per-vertex path, with vertex 0's list the only one holding a
+    # pair
+    H = hypergraph(20, [[0, 1], [0, 2]]
+                   + [[v, v + 1] for v in range(3, 19, 2)])
+    assert sum(d * (d + 1) for d in H.degrees()) < H.m * (H.m - 1)
+    assert _max_shared(H, H.edge_masks(), H.degrees()) == 1
 
 
 def test_neighborhood():
