@@ -58,9 +58,12 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         """Uniform in 0..n-1 by rejection: draws from the top 2**64 % n
-        values are discarded."""
+        values are discarded.  One draw spans at most 2**64 values, so a
+        wider range raises ValueError instead of rejecting every draw."""
         if n <= 0:
             raise ValueError("empty range")
+        if n > 2**64:
+            raise ValueError(f"range of {n} values exceeds 2**64")
         limit = 2**64 - (2**64 % n)
         state = self.state
         while True:             # next_u64, on a local state

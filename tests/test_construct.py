@@ -264,6 +264,19 @@ def test_split_rng():
         SplitMix64(1).sample(3, 4)
 
 
+def test_randrange_beyond_64_bits_raises():
+    """Above 2**64 the rejection limit 2**64 - 2**64 % n is 0, which once
+    rejected every draw forever; such a range raises at once, drawing
+    nothing, while 2**64 itself still returns the raw draw."""
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError):
+        rng.randrange(2**64 + 1)
+    assert rng.state == 5
+    raw = SplitMix64(5)
+    assert [rng.randrange(2**64) for _ in range(3)] \
+        == [raw.next_u64() for _ in range(3)]
+
+
 class _SplitMix64Reference(SplitMix64):
     """randrange and sample as first written: every draw through next_u64,
     and sample shuffles a full list of 0..n-1."""

@@ -50,44 +50,44 @@ EXPECTED = {
     "calls": 4110,
     "tau": "81a137cb5ca8c3d2923d353271f4af757f25a4dd8abf062d46b679bfa54d7665",
     "tau_t": "07605f99fd84225054e9a0a0529754d82ff0b6a7b7051f556fe57f7647671a67",
-    "tau_strong": "fac4ffe092eadf17f1ff2556f66109e6b84946dd8516315dc93530b703cd523e",
+    "tau_strong": "4b4f5a7055238da5ff392f15d262411d5b8e952233fdc0d77e09fb6340099758",
     "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
     "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
-    "ec_t": "67547aa2398d3d96edcc46d0a782e5704e535e6390f0b99946f4279f7f6a67f2",
+    "ec_t": "b7e4a935b1625966c40b9118c28a896d938f5f73cde9fce1ee36555e28dbf0a1",
     "tau.values": "2cadaf409b9908b3110d4aa864bec24a59e679df95e476a2310abf264ca3e513",
     "tau_t.values": "1266d92c8fc20fc3f1c45ddf511ec37aca070ef9ed753404771243a442e27eaf",
     "tau_strong.values": "24c706c1a30cc1a3dce7394256d7996661ead78a7c44016f1a524ef773077e49",
     "gamma.values": "55d4245322c307e815526d1aef4984fdb5a97459f223caec5b8bbce8542bb01d",
     "gamma_t.values": "0a6476ff19bc2c3f80aea34bf305b77b9b54aee89529cf8fdb6259dd9dfbb89e",
     "ec_t.values": "f37949f705968102cd01fb40a176ae3b96ae14df2562a0b67d6bdfec1da1ca05",
-    "tau.nodes": "788d1ad8dd1bd1727f108298ec153e0b9d94900d17b6cd749d1685fe831f0f65",
-    "tau_t.nodes": "ef39ecba309b8aeaa97cceb053eb859b9d20ce037ae54535e43492cbcff3c4ab",
-    "tau_strong.nodes": "a3ff71618e03ce35644d348cc0f2b585603c92f04e2a0f99be292068220b7593",
+    "tau.nodes": "c3b99f382f0af38707c0ca6b880874dfdcbcba71648a8781422dbf1cd48ff77d",
+    "tau_t.nodes": "ecde4c315dfcf71c5edeb11c5ffadd205364175dec6a2be2434e34722dfb99fe",
+    "tau_strong.nodes": "68250d66e4c70f6ce8cffc54836dfb00f1fe063fee8a09789f035bb8f56ff705",
     "gamma.nodes": "bfef92710ef8359bd10f72e0d66cc2c08cae818849df51095cfa2617b5b4292b",
     "gamma_t.nodes": "f44cc1679a2f3a458bbfbff0b4fb03a4f48248a8d96532cecee418f6cdbce40d",
-    "ec_t.nodes": "5dd019d2028c951475f10252db073f921a06d4f275455ac0839983e36e7c639b",
+    "ec_t.nodes": "f7f2ed2901025f0fe08ac19cae36d8bee33d788d8a5795e6cee25859c1af69af",
 }
 
 STRUCTURED = {
     "calls": 990,
-    "tau": "0b472bcea47441f0ae1b0e79d1f7cdc3aa91c0c0860f873f7d10d698d971396f",
-    "tau_t": "d310110644f6b36b4940c439e7505c89e169b959067a1c88731b146b0cc83199",
+    "tau": "2963482cbeddab14993bf9c4c28a5ffba68fde50fe9edf6b404b67d9b3d19030",
+    "tau_t": "f35c91a1be0171cd84b29a04a934c314e8b8910c4aafcec7d44193721a4273cf",
     "tau_strong": "23d9a90705d4026abbad4fc7b6bf3a7242f3b1a9919b079f97a793dfdc16abbe",
     "gamma": "9dbd3e3a88432509b9a8afd719aff078cee4d64d96bbc69fb04c1bbc50d626e4",
-    "gamma_t": "6b3dd7deddf322d36c95e0b7eb67a4fe133a0df638311def2a2cef24bef192c5",
-    "ec_t": "325d8ad320fc29619eb74589fb7c07af57496b84f2acfebbee85aa2b6a54dd2d",
+    "gamma_t": "19251a79ce8fca6f93b0bceee7998c009126aebb9203651f5cea11d31e727097",
+    "ec_t": "8a0e9f140d71fce13ab0e3d4db17d3a4e466e12ce3ade6de00b14b0cac0050c3",
     "tau.values": "e74043cd08e37094d5a33fa9dee7576adb0e586d25ebab558b6775d334973fa1",
     "tau_t.values": "1d1ebe582b8592c1166ac95d707c2cc5ab595aa952fd87d16402dc329521daf8",
     "tau_strong.values": "36a26da4d4e5a834167adc342ce61aa6139c2db19bf02e898ceb3ac4f9b0323b",
     "gamma.values": "428f6534b4deff84a20f573ed388df1f5556bf58ccfc1a62887ff4b9e403e227",
     "gamma_t.values": "acbf721e4a14380601b4b6194f055368a83394708c15071ba0e32881b3190147",
     "ec_t.values": "0d673c5ac0a6e5e2ae0a453cb1400965219cde640076a2254c99343478b65233",
-    "tau.nodes": "682945cdd0a84679dc9a17520fd44a09f5efeb4323787ac98d86ee3c87c8165c",
-    "tau_t.nodes": "2ec211a2860ccad460d491c13c38382048b11162f7acafe6796fd73a40510dfe",
-    "tau_strong.nodes": "54477f156e0238479c25c4ee4c8052aedf0c581b8ee5a852b7bc604ee6b7327b",
-    "gamma.nodes": "adec04a59b6042281ce6fe896d04f3f8d975804cda3772cb7dbb94b874b613d8",
-    "gamma_t.nodes": "6feea86186e1fd4804ea9b6ca13ae33a5a2df9b7dad57b4f226f9e3fac41b981",
-    "ec_t.nodes": "6514f17d67e1f3641a8ee2afd46986a001da1f5a444f9bdb834bd1d625416342",
+    "tau.nodes": "d8972bda81afd16ad11f2562e821e9704ae50b8a2acf2472a7e7e84ca2998c1d",
+    "tau_t.nodes": "62cbb7a308f0d82d0beb4172f76730f54ed1e0a81994508f951710b324f7fb20",
+    "tau_strong.nodes": "0407a837172509e8df47d23686f357390af0a48310d56567bc82c15d9cbd78b4",
+    "gamma.nodes": "9e703a5027dde8cee3bfd6cbd9b12e70b3b9ced96ded807aea8f6fb15651bfaf",
+    "gamma_t.nodes": "b199ae14358ca38ffdfb92607111c20019aac83fea3527425653691f53e1a233",
+    "ec_t.nodes": "91c01845ac6521b2914f9ae42b622391cb896247a1687c7f5e8ba84e44ab2c01",
 }
 
 _HYPERGRAPH_SOLVERS = {

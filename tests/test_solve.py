@@ -451,11 +451,11 @@ def test_zero_gap_fixing_matches_oracle(monkeypatch):
     search = module._search
     at_zero_gap = []   # per search call, one per part, in part order
 
-    def spy(reqs, adj, allowed, best_size, *rest, **kwargs):
+    def spy(reqs, adj, allowed, greedy, *rest, **kwargs):
         root = [((m & allowed).bit_count() - need, m & allowed, need)
                 for m, need in reqs]
-        at_zero_gap.append(module._packing(root)[0] == best_size - 1)
-        return search(reqs, adj, allowed, best_size, *rest, **kwargs)
+        at_zero_gap.append(module._packing(root)[0] == greedy.bit_count() - 1)
+        return search(reqs, adj, allowed, greedy, *rest, **kwargs)
 
     monkeypatch.setattr(module, "_search", spy)
     rng = random.Random(6060)
@@ -633,7 +633,9 @@ def test_coverage_fixing_matches_oracle(monkeypatch):
     incumbent can add.  The instances kept are those where some node bans
     an item, found by a spy on _coverage; the solver must agree with the
     oracle on each, and tau_t, tau_strong and ec_t must each get at least
-    20 of them."""
+    20 of them.  The draws number 8,000: with the local search's incumbent
+    fewer searches reach a node that bans, and 5,000 draws gave tau_strong
+    only 16."""
     module = sys.modules["hypertrans.solve"]
     coverage = module._coverage
     fired = []
@@ -647,7 +649,7 @@ def test_coverage_fixing_matches_oracle(monkeypatch):
     monkeypatch.setattr(module, "_coverage", spy)
     rng = random.Random(8080)
     count = dict.fromkeys(("tau_t", "tau_strong", "ec_t"), 0)
-    for _ in range(5000):
+    for _ in range(8000):
         H, G = _rand_hg(rng, n_max=14, m_max=10), _rand_graph(rng, n_max=9)
         for inv in count:
             obj = G if inv == "ec_t" else H
@@ -705,6 +707,71 @@ def test_ec_t_cubic_nodes():
             nodes += got.nodes
     assert nodes <= EC_T_CUBIC_NODES_BEFORE * 2 // 5, nodes
     assert nodes <= EC_T_CUBIC_FIXING_NODES, nodes
+    assert nodes <= INCUMBENT_NODES["ec_t cubic"], nodes
+
+
+# Search nodes before the local search at a gapped root and the restart at
+# the root bound, and the ceilings with them: the cubic graphs of
+# test_ec_t_cubic_nodes 2,590 and 164; tau_t on 20 draws of
+# random_hypergraph(3, 50, 42, split_seed(18, i), require_class=True) and
+# tau_strong on 10 of random_hypergraph(4, 40, 40, split_seed(18, i),
+# require_class=True), the shapes of the benchmark's exact solves, 1,323
+# and 1,164, and 2,194 and 2,089.
+INCUMBENT_NODES = {"ec_t cubic": 200, "tau_t": 1_200, "tau_strong": 2_100}
+
+
+def test_incumbent_nodes():
+    for inv, (k, n, m, count), values in (
+        ("tau_t", (3, 50, 42, 20), (15, 16, 14, 12, 14, 15, 15, 15, 15, 14,
+                                    15, 15, 13, 15, 14, 14, 15, 15, 14, 15)),
+        ("tau_strong", (4, 40, 40, 10), (18, 18, 18, 18, 17, 19, 18, 18, 19,
+                                         19)),
+    ):
+        nodes = 0
+        for i, want in zip(range(count), values, strict=True):
+            H = random_hypergraph(k, n, m, split_seed(18, i),
+                                  require_class=True)
+            got = solve(H, inv)
+            assert got.value == want == len(got.witness), (inv, i)
+            assert _DEFINITIONS[inv](H, got.witness)
+            nodes += got.nodes
+        assert nodes <= INCUMBENT_NODES[inv], (inv, nodes)
+
+
+def test_local_search_is_feasible_and_no_larger(monkeypatch):
+    """Every part's greedy goes through _local_search here, whatever its
+    root gap, by a spy on _greedy.  The result must lie in the part's
+    usable items, meet every requirement, give each pick a picked neighbor
+    under the side constraint, and be no larger than the greedy.  The
+    solver's values must match the oracle on the same draws, and the local
+    search must shrink some greedy with and without the side constraint
+    (ec_t and tau_strong), so the check cannot pass vacuously."""
+    module = sys.modules["hypertrans.solve"]
+    greedy, local_search = module._greedy, module._local_search
+    calls = dict.fromkeys(_ALL + ("ec_t",), 0)
+    shrunk = dict.fromkeys(calls, 0)
+    inv = None
+
+    def spy(reqs, adj, allowed, holds):
+        sel = greedy(reqs, adj, allowed, holds)
+        better = local_search(reqs, adj, allowed, holds, sel)
+        assert better & ~allowed == 0
+        assert all((m & better).bit_count() >= need for m, need in reqs)
+        if adj is not None:
+            assert all(adj[p] & better for p in bit_indices(better))
+        assert better.bit_count() <= sel.bit_count()
+        calls[inv] += 1
+        shrunk[inv] += better.bit_count() < sel.bit_count()
+        return sel
+
+    monkeypatch.setattr(module, "_greedy", spy)
+    rng = random.Random(1818)
+    for _ in range(600):
+        H, G = _rand_hg(rng, n_max=12, m_max=8), _rand_graph(rng, n_max=9)
+        for inv in calls:
+            _assert_matches_oracle(G if inv == "ec_t" else H, inv)
+    assert min(calls.values()) >= 100, calls
+    assert min(shrunk["tau_strong"], shrunk["ec_t"]) >= 10, shrunk
 
 
 # Disjoint unions, whose requirements fall into parts that share no item.
