@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .hcore import (
     Hypergraph, bit_indices, class_check, components, delete_vertices, induced,
-    neighborhood,
+    neighborhood, shared_vertices,
 )
 from .solve import (
     is_strong_transversal,
@@ -148,17 +148,15 @@ def _repair_isolated(H: Hypergraph, X: set):
     original degree >= 2 (lowest index); returns all vertices to delete and
     the repair vertices."""
     degs = H.degrees()
-    keep = [e for e in H.edges if not X.intersection(e)]
-    # a kept edge meets no other kept edge exactly when each of its
-    # vertices lies in it alone among the kept edges
-    kept_degs = [0] * H.n
-    for e in keep:
-        for v in e:
-            kept_degs[v] += 1
+    keep = [(e, a) for e, a in zip(H.edges, H.edge_masks())
+            if not X.intersection(e)]
+    # a kept edge meets no other kept edge exactly when none of its
+    # vertices lies in another kept edge
+    shared = shared_vertices([a for _, a in keep])
     repaired = []
     doomed = set(X)
-    for e in keep:
-        if any(kept_degs[v] > 1 for v in e):
+    for e, a in keep:
+        if a & shared:
             continue
         repaired.append(next(v for v in e if degs[v] >= 2))
         doomed.update(e)

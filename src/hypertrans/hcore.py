@@ -136,13 +136,9 @@ def class_check(H: Hypergraph) -> ClassCheck:
     dp = degree_profile(H)
     isolated_vertex = dp.delta == 0 and H.n > 0
     masks = H.edge_masks()
-    # an edge meets another exactly when it has a vertex of degree >= 2:
-    # folding the masks into two saturating planes leaves those in the second
-    once = shared_vertices = 0
-    for a in masks:
-        shared_vertices |= once & a
-        once |= a
-    isolated_edge = not all(a & shared_vertices for a in masks)
+    # an edge meets another exactly when it has a vertex of degree >= 2
+    shared = shared_vertices(masks)
+    isolated_edge = not all(a & shared for a in masks)
     max_shared = _max_shared(H, masks, dp.degrees)
     linear = max_shared <= 1
     in_hk = (
@@ -165,6 +161,16 @@ def class_check(H: Hypergraph) -> ClassCheck:
         min_degree=dp.delta,
         max_degree=dp.Delta,
     )
+
+
+def shared_vertices(masks) -> int:
+    """The vertices lying in two or more of masks, by folding the masks into
+    two saturating planes: the second holds what the first already held."""
+    once = twice = 0
+    for a in masks:
+        twice |= once & a
+        once |= a
+    return twice
 
 
 def _max_shared(H: Hypergraph, masks, degrees) -> int:

@@ -7,42 +7,44 @@ the side constraint that every picked item has a picked neighbor.  One
 branch-and-bound core solves that; thin wrappers build the encodings, and a
 separate brute-force oracle checks the textbook definitions subset by subset.
 
-The core drops requirements implied by a tighter one, bounds each node by a
-packing and branches on the requirement with the least slack (candidates
-less deficit), trying first the candidate that lies in the most open
-requirements (the lower index on ties).  The packing walks the open
-requirements from the least slack up; each one adds the picks it still
-needs outside the candidates of those already counted, and joins them if
-it adds any.  At demand 1 that is a packing of disjoint requirements, and
-at demand 2 a requirement sharing one item with them still counts one
-pick.  A node looks only at the requirements still open at its parent,
-since a selection only grows.  At the root it also drops every item that
-kept items can stand in for.  tau, gamma and gamma_t are plain hitting
-sets (demand 1, no side constraint): there an item goes when another item
-lies in all of its requirements, alternating with requirement dominance
-until neither changes anything.
+The core bounds each node by a packing and branches on the requirement with
+the least slack (candidates less deficit), trying first the candidate that
+lies in the most open requirements (the lower index on ties).  The packing
+walks the open requirements from the least slack up; each one adds the
+picks it still needs outside the candidates of those already counted, and
+joins them if it adds any.  At demand 1 that is a packing of disjoint
+requirements, and at demand 2 a requirement sharing one item with them
+still counts one pick.  A node looks only at the requirements still open at
+its parent, since a selection only grows.  At the root it drops every item
+that kept items can stand in for, in one pass from the highest index down
+(the column reduction of set covering, Garfinkel and Nemhauser, Integer
+Programming, 1972), and keeps every requirement as given.  tau, gamma and
+gamma_t are plain hitting sets (demand 1, no side constraint): there an
+item goes when another kept item lies in all of its requirements.  No
+requirement is dropped for a tighter one (the row reduction): that frees
+more items only when it alternates with the item pass to a fixpoint, about
+n/4 rounds of all-pair comparisons on a path, and it saves the search few
+nodes.
 
 All of this runs once per part.  For every invariant, the requirements
 fall into parts linked by shared items, and items of different parts
 never meet in a requirement, so they never see each other either: the
 minimum is the sum of the parts' minima, as the paper's bounds add up over
-components.  Each part gets its own reductions, greedy incumbent and
+components.  Each part gets its own item pass, greedy incumbent and
 search, a result's witness is its parts' own witnesses side by side, and
-its `nodes` is the sum over its parts.  A union then
-costs the sum of its parts' searches, not their product: ec_t on a
-20-vertex cubic graph taken twice fell from 1,412,953 nodes to 2.
+its `nodes` is the sum over its parts.  A union then costs the sum of its
+parts' searches, not their product.
 
 The other three get a dominance rule of their own and a coverage bound at
 every node: the fewest free items whose open coverages add up to the open
 deficit.  tau_strong (demand 2) drops an item when two kept items lie in all
-of its requirements, alternating with requirement dominance as well.  tau_t
-and ec_t carry the side constraint, and two items see each other exactly
-when a requirement holds both: a vertex's neighbors are the union of its
-edges, an edge's the edges at either end.  That lets an item go when a kept
-item lies in all of its requirements and has a kept neighbor besides it, and
-it lets the bound charge half a unit to each pick that sees no selected
-item, since that pick needs another new pick in one of its open
-requirements.
+of its requirements.  tau_t and ec_t carry the side constraint, and two
+items see each other exactly when a requirement holds both: a vertex's
+neighbors are the union of its edges, an edge's the edges at either end.
+That lets an item go when a kept item lies in all of its requirements and
+has a kept neighbor besides it, and it lets the bound charge half a unit to
+each pick that sees no selected item, since that pick needs another new
+pick in one of its open requirements.
 
 The search starts from a greedy incumbent and looks only for something
 smaller.  Without the side constraint the greedy picks the item in the most
@@ -55,8 +57,7 @@ search, dropping picks and trading two picks for one free item until
 neither move applies (the (2,1)-swaps of Andrade, Resende and Werneck, J.
 Heuristics 18, 2012).  And a search that finds an incumbent at most one
 above the root bound starts again from the root, whose fixing rules then
-cut the rest short.  Together they took exact-solve from 4,991 nodes to
-4,016, and ec_t on 21 random cubic graphs from 2,590 to 164.
+cut the rest short.
 
 Siblings prune each other as well.  A node skips a candidate i of its
 branching requirement when a sibling j searched before it lies in every open
@@ -77,8 +78,7 @@ it prunes when that walk reaches the incumbent, keeps restricting while the
 walk reads the same bound, and stops when it reads less, since a walk that
 reads less need not count every pick.  Then it bounds coverage and
 branches, and its children re-derive their free items from the banned ones
-as before.  One restriction took exact-solve from 16,707 nodes to 10,621,
-and restricting to a fixpoint to 8,147, all with the same values.
+as before.
 
 A node of tau_t, tau_strong or ec_t fixes items at any gap too, with the
 coverage scores as its duals.  A selection below it that beats the
@@ -95,10 +95,8 @@ that dominates u needs a pick of its own in N(c), and c is not in N(c).  A
 root at a nonzero gap adds these cuts as entries of demand 2, and every node
 bounds by the larger of the slack walk and a walk that takes the open cuts
 first.  A part takes only the cuts inside its own items; one that reaches
-another part is dropped.  On the family expansions, where the packing
-counts one pick per gadget that needs two, they took gamma_t from 1,937
-exact-solve nodes to 30, and fixing took ec_t from 1,770 to 629: 8,147
-nodes in all fell to 4,942.
+another part is dropped.  They pay on the family expansions, where the
+packing counts one pick per gadget that needs two.
 
 Vertex sets are Python ints used as bit vectors, so width never caps n.
 """
@@ -144,7 +142,7 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
     requirements fall into parts linked by shared items.  Items of different
     parts share no requirement, so they never see each other either, and a
     selection is feasible exactly when its share of each part is.  So each
-    part gets its own reductions, greedy incumbent and search, in the order
+    part gets its own item pass, greedy incumbent and search, in the order
     of its first requirement, and the sizes, masks and node counts add up.
     """
     adj = mask_neighborhoods(nitems, [m for m, _ in reqs]) if total else None
@@ -177,27 +175,10 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
     hitting = adj is None and demand == 1
     total_size = total_mask = total_nodes = 0
     for part, items in parts:
-        kept = allowed
-        if adj is not None:
-            # the adjacency is read off the requirements as given, and both
-            # the dominance test and the search's coverage bound rely on
-            # that, so the requirements stay unreduced
-            kept = _thin(part, adj, kept, demand)
-        else:
-            # an item that others can stand in for goes, and a requirement
-            # lost that way can free further items
-            part = _drop_implied(part, kept)
-            while True:
-                kept = _thin(part, None, kept, demand)
-                for mask, _ in part:   # a loop, not all(): this runs per call
-                    if mask & ~kept:
-                        break
-                else:
-                    break         # only items in no requirement were dropped
-                before = len(part)
-                part = _drop_implied(part, kept)
-                if len(part) == before:   # same requirements and signatures
-                    break
+        # one item pass and no requirement dropped: the side constraint's
+        # adjacency is read off the requirements as given, and every step
+        # after this one intersects their masks with kept
+        kept = _thin(part, adj, allowed, demand)
         holds = _holds(part, kept)
         greedy = _greedy(part, adj, kept, holds)
         cuts = None
@@ -233,25 +214,6 @@ def _parts(reqs) -> list:
     return parts
 
 
-def _drop_implied(reqs, allowed):
-    """Requirements restricted to allowed, minus those implied by a tighter
-    one (a subset with >= demand), in their original order so that branching
-    tie-breaks stay index-based."""
-    eff = [(mask & allowed, need) for mask, need in reqs]
-    kept: list[tuple[int, int]] = []
-    for mask, need in sorted(eff, key=_tightness):
-        for km, kn in kept:
-            if km & ~mask == 0 and kn >= need:
-                break
-        else:
-            kept.append((mask, need))
-    if len(kept) == len(eff):   # none implied, so none repeated: eff in order
-        return eff
-    order = {r: i for i, r in enumerate(eff)}
-    kept.sort(key=order.__getitem__)
-    return kept
-
-
 def _rank2_cuts(nb, allowed, items) -> list[int]:
     """Per item u, U_u = N(u) | the N(c) of every c in N(u), restricted to
     allowed, without repeats, for each U_u inside items, the items of one
@@ -265,11 +227,9 @@ def _rank2_cuts(nb, allowed, items) -> list[int]:
     its selection meets them.  A U_u reaching another part rests on a
     requirement of that part, so it is dropped, not restricted: on a
     bipartite graph every U_u spans both sides, which are two parts.
-    Restricted to allowed, a kept cut is still implied by the reduced
-    requirements: a selection inside allowed that meets them meets every
-    N(v) of the part too, since each such N(v) holds a reduced requirement
-    (a requirement goes only for a tighter one inside it), and its two
-    items in U_u lie in U_u & allowed.
+    Restricted to allowed, a kept cut still holds: the part's requirements
+    are its N(v) as given, and a selection inside allowed that meets them
+    has its two items in U_u inside U_u & allowed.
     """
     cuts = {}
     for nu in nb:
@@ -279,11 +239,6 @@ def _rank2_cuts(nb, allowed, items) -> list[int]:
         if not mask & ~items:
             cuts[mask & allowed] = None
     return list(cuts)
-
-
-def _tightness(req):
-    mask, need = req
-    return mask.bit_count(), -need
 
 
 def _thin(reqs, adj, allowed, demand) -> int:

@@ -29,6 +29,7 @@ from .hcore import (
     class_check,
     degree_profile,
     hypergraph,
+    shared_vertices,
 )
 from .solve import tau, tau_strong, tau_t, gamma_t
 
@@ -171,8 +172,9 @@ def _enumerate_nm(k: int, n: int, m: int, canonical: dict):
                 return
             H = Hypergraph(n, tuple(edges))
             masks = H.edge_masks()
-            for i, a in enumerate(masks):
-                if not any(a & b for j, b in enumerate(masks) if i != j):
+            shared = shared_vertices(masks)
+            for a in masks:
+                if not a & shared:
                     return               # isolated edge
             if gate(H.edges, n):
                 yield H

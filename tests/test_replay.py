@@ -48,11 +48,11 @@ PENDANTS = 45
 
 EXPECTED = {
     "calls": 4110,
-    "tau": "81a137cb5ca8c3d2923d353271f4af757f25a4dd8abf062d46b679bfa54d7665",
+    "tau": "65ef4eaa576ea475e5f28f6c8e476fb8d307aabe4bdad5a1a9e2855f570204c1",
     "tau_t": "07605f99fd84225054e9a0a0529754d82ff0b6a7b7051f556fe57f7647671a67",
-    "tau_strong": "4b4f5a7055238da5ff392f15d262411d5b8e952233fdc0d77e09fb6340099758",
-    "gamma": "78f54f01c40f7b433ba87cfe9a94174c065df44906a1e9d184cd18a61f6ce6c3",
-    "gamma_t": "04f937a5c9af3be984480c78e83d1a3099cf9ad2679e7d8b51e63c2469a2e2cc",
+    "tau_strong": "5fec2696b88062de35f8352042ec96cb77c0f968e394a1a08451c7c559634ff9",
+    "gamma": "d987b1ad75dda09daae2f211ef2e44e802e7ec0150094ea03ba514805c089a40",
+    "gamma_t": "12c7a25b7b482d53de0900eb36c550688359dcbca1b2b5b9f1e5f7d68e956e98",
     "ec_t": "b7e4a935b1625966c40b9118c28a896d938f5f73cde9fce1ee36555e28dbf0a1",
     "tau.values": "2cadaf409b9908b3110d4aa864bec24a59e679df95e476a2310abf264ca3e513",
     "tau_t.values": "1266d92c8fc20fc3f1c45ddf511ec37aca070ef9ed753404771243a442e27eaf",
@@ -60,21 +60,21 @@ EXPECTED = {
     "gamma.values": "55d4245322c307e815526d1aef4984fdb5a97459f223caec5b8bbce8542bb01d",
     "gamma_t.values": "0a6476ff19bc2c3f80aea34bf305b77b9b54aee89529cf8fdb6259dd9dfbb89e",
     "ec_t.values": "f37949f705968102cd01fb40a176ae3b96ae14df2562a0b67d6bdfec1da1ca05",
-    "tau.nodes": "c3b99f382f0af38707c0ca6b880874dfdcbcba71648a8781422dbf1cd48ff77d",
+    "tau.nodes": "cb9b23cce61a72afe5c4fab3a985e2f8b5069992e57ad809eaf52624a19c2106",
     "tau_t.nodes": "ecde4c315dfcf71c5edeb11c5ffadd205364175dec6a2be2434e34722dfb99fe",
-    "tau_strong.nodes": "68250d66e4c70f6ce8cffc54836dfb00f1fe063fee8a09789f035bb8f56ff705",
-    "gamma.nodes": "bfef92710ef8359bd10f72e0d66cc2c08cae818849df51095cfa2617b5b4292b",
-    "gamma_t.nodes": "f44cc1679a2f3a458bbfbff0b4fb03a4f48248a8d96532cecee418f6cdbce40d",
+    "tau_strong.nodes": "7a860e1baf4ce045b7663b674278461f97546c2791ab478d26a336f269ff1345",
+    "gamma.nodes": "065e35a118e450875aa3b698c02080b1e4acc1eaea48bfceac6b0298f94f0dd4",
+    "gamma_t.nodes": "965c0f187ec90c35e9b65325376b0385f0231d2dc434d99510af1a2e68dabd50",
     "ec_t.nodes": "f7f2ed2901025f0fe08ac19cae36d8bee33d788d8a5795e6cee25859c1af69af",
 }
 
 STRUCTURED = {
     "calls": 990,
-    "tau": "2963482cbeddab14993bf9c4c28a5ffba68fde50fe9edf6b404b67d9b3d19030",
+    "tau": "942f915ee93325596c02065819bf0bafde67a2c6a1070572573504042f2c8393",
     "tau_t": "f35c91a1be0171cd84b29a04a934c314e8b8910c4aafcec7d44193721a4273cf",
-    "tau_strong": "23d9a90705d4026abbad4fc7b6bf3a7242f3b1a9919b079f97a793dfdc16abbe",
-    "gamma": "9dbd3e3a88432509b9a8afd719aff078cee4d64d96bbc69fb04c1bbc50d626e4",
-    "gamma_t": "19251a79ce8fca6f93b0bceee7998c009126aebb9203651f5cea11d31e727097",
+    "tau_strong": "b3e5352921be21dbab63ebccfa86aa1e595d61f48bfb6e55e8f88b2f0df4e4a5",
+    "gamma": "533a497953bac44e39ff8f204b7a292e399969215d7fbd83abb25b7fa11e4467",
+    "gamma_t": "393e418ed092976d868f6a3ddf41f98c167f06915a10f96faa7ff024fd07dc39",
     "ec_t": "8a0e9f140d71fce13ab0e3d4db17d3a4e466e12ce3ade6de00b14b0cac0050c3",
     "tau.values": "e74043cd08e37094d5a33fa9dee7576adb0e586d25ebab558b6775d334973fa1",
     "tau_t.values": "1d1ebe582b8592c1166ac95d707c2cc5ab595aa952fd87d16402dc329521daf8",
@@ -82,10 +82,10 @@ STRUCTURED = {
     "gamma.values": "428f6534b4deff84a20f573ed388df1f5556bf58ccfc1a62887ff4b9e403e227",
     "gamma_t.values": "acbf721e4a14380601b4b6194f055368a83394708c15071ba0e32881b3190147",
     "ec_t.values": "0d673c5ac0a6e5e2ae0a453cb1400965219cde640076a2254c99343478b65233",
-    "tau.nodes": "d8972bda81afd16ad11f2562e821e9704ae50b8a2acf2472a7e7e84ca2998c1d",
+    "tau.nodes": "274900768c630c2bdb793bc3c99790fca3e3bbd114d3e5d1d927843b3e855639",
     "tau_t.nodes": "62cbb7a308f0d82d0beb4172f76730f54ed1e0a81994508f951710b324f7fb20",
-    "tau_strong.nodes": "0407a837172509e8df47d23686f357390af0a48310d56567bc82c15d9cbd78b4",
-    "gamma.nodes": "9e703a5027dde8cee3bfd6cbd9b12e70b3b9ced96ded807aea8f6fb15651bfaf",
+    "tau_strong.nodes": "ba061f823a59a0d968298b4469dce19c5864085970cd5ffdc7b193f68781c222",
+    "gamma.nodes": "57f8a2a728541ebd8922aad27b818af305c679b07000ebe48d01d88a205132f8",
     "gamma_t.nodes": "b199ae14358ca38ffdfb92607111c20019aac83fea3527425653691f53e1a233",
     "ec_t.nodes": "91c01845ac6521b2914f9ae42b622391cb896247a1687c7f5e8ba84e44ab2c01",
 }

@@ -836,6 +836,60 @@ def test_union_solves_its_parts_apart():
             assert (res.value, sorted(res.witness), res.nodes) == want, inv
 
 
+def test_one_item_pass_per_part(monkeypatch):
+    """Each part of a `_min_selection` call is reduced by exactly one
+    `_thin` call, which sees the part's requirements as given, for all six
+    invariants, on single-part inputs and on unions: no requirement is
+    dropped, and no loop alternates the item pass with anything else."""
+    module = sys.modules["hypertrans.solve"]
+    thin, min_selection = module._thin, module._min_selection
+    seen = []
+    counts = {(inv, many): 0 for inv in _DEFINITIONS for many in (False, True)}
+    inv = None
+
+    def thin_spy(reqs, adj, allowed, demand):
+        seen.append(reqs)
+        return thin(reqs, adj, allowed, demand)
+
+    def min_selection_spy(nitems, reqs, total=False, nb=None):
+        seen.clear()
+        out = min_selection(nitems, reqs, total, nb)
+        parts = [part for part, _ in _parts(reqs)]
+        assert seen == parts, inv
+        counts[inv, len(parts) > 1] += 1
+        return out
+
+    monkeypatch.setattr(module, "_thin", thin_spy)
+    monkeypatch.setattr(module, "_min_selection", min_selection_spy)
+    rng = random.Random(1919)
+
+    def draw():
+        k = rng.choice((2, 3))
+        return random_hypergraph(k, k + 2 + rng.randrange(3),
+                                 3 + rng.randrange(2), rng.getrandbits(64),
+                                 require_class=True)
+
+    for i in range(60):
+        H = disjoint_union(draw(), draw()) if i % 2 else draw()
+        for inv in _DEFINITIONS:
+            solve(two_section(H) if inv == "ec_t" else H, inv)
+    assert min(counts.values()) >= 10, counts
+
+
+def test_paths_take_at_most_two_nodes():
+    """On the 2,000-vertex path the root's one item pass leaves a search
+    that closes at once: tau, gamma_t and tau_strong each take at most 2
+    nodes.  While the root alternated the item pass with dropping implied
+    requirements, it took about n/4 rounds of all-pair comparisons there."""
+    n = 2000
+    P = hypergraph(n, [[i, i + 1] for i in range(n - 1)])
+    for fn, want in ((tau, 1000), (gamma_t, 1000), (tau_strong, 2000)):
+        got = fn(P)
+        assert got.value == want == len(got.witness), fn.__name__
+        assert _DEFINITIONS[fn.__name__](P, got.witness)
+        assert got.nodes <= 2, (fn.__name__, got.nodes)
+
+
 def test_sibling_dominance():
     """A pick is skipped when an already-searched sibling lies in every open
     requirement holding it and, under the side constraint, sees every other

@@ -13,8 +13,9 @@ BENCHMARK.json's run_seconds.  A traced pair, at most one per workload,
 runs once per side with --trace 1, the parent first.  The output has the
 layout of the committed BENCH files: per workload and end-to-end metric,
 the quartiles of each side, the runs, the wins and losses of the change,
-the median gap and the parent's IQR; per traced workload, every per-layer
-metric of each side.  Besides the values digest of each pair, it compares
+those wins and losses again by the side that ran first in their pair (so
+an order effect shows), the median gap and the parent's IQR; per traced
+workload, every per-layer metric of each side.  Besides the values digest of each pair, it compares
 the value lines that the run writes to perfbench/out with every node count
 masked, since pool-enumerate's CLI solve payloads carry node counts that a
 change to the search moves while the values stay the same.  Standard library only; the run lines go to stderr as
@@ -77,7 +78,10 @@ def _quartiles(xs: list[float]) -> dict:
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def _compare(declared: dict, runs: dict[str, list[dict]]) -> dict:
+def _compare(declared: dict, runs: dict[str, list[dict]],
+             first: list[str]) -> dict:
+    """Per end-to-end metric, the comparison of the two sides' runs; first
+    names the side that ran first in each pair."""
     out = {}
     for name, spec in declared.items():
         vals = {s: [round(r["metrics"][name]["value"], 4) for r in runs[s]]
@@ -92,6 +96,12 @@ def _compare(declared: dict, runs: dict[str, list[dict]]) -> dict:
             "change": change,
             "change_wins": sum(d > 0 for d in diffs),
             "change_losses": sum(d < 0 for d in diffs),
+            "change_wins_by_first": {
+                s: sum(d > 0 for d, f in zip(diffs, first) if f == s)
+                for s in SIDES},
+            "change_losses_by_first": {
+                s: sum(d < 0 for d, f in zip(diffs, first) if f == s)
+                for s in SIDES},
             "pairs": len(diffs),
             "median_gap": round(change["median"] - parent["median"], 4),
             "parent_iqr": round(parent["q3"] - parent["q1"], 4),
@@ -156,7 +166,7 @@ def main(argv=None) -> int:
             "values_equal_per_seed_nodes_masked": all(
                 p["masked_digest"] == c["masked_digest"]
                 for p, c in zip(runs["parent"], runs["change"])),
-            "metrics": _compare(end_to_end, runs),
+            "metrics": _compare(end_to_end, runs, first),
         }
     record = {
         "label": args.label,
