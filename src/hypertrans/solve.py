@@ -18,13 +18,14 @@ still counts one pick.  A node looks only at the requirements still open at
 its parent, since a selection only grows.  At the root it drops every item
 that kept items can stand in for, in one pass from the highest index down
 (the column reduction of set covering, Garfinkel and Nemhauser, Integer
-Programming, 1972), and keeps every requirement as given.  tau, gamma and
-gamma_t are plain hitting sets (demand 1, no side constraint): there an
-item goes when another kept item lies in all of its requirements.  No
-requirement is dropped for a tighter one (the row reduction): that frees
-more items only when it alternates with the item pass to a fixpoint, about
-n/4 rounds of all-pair comparisons on a path, and it saves the search few
-nodes.
+Programming, 1972), and keeps every requirement as given.  The one walk
+over the requirements' items that feeds it also gives each item's
+requirement bits, which every later step reads.  tau, gamma and gamma_t
+are plain hitting sets (demand 1, no side constraint): there an item goes
+when another kept item lies in all of its requirements.  No requirement is
+dropped for a tighter one (the row reduction): that frees more items only
+when it alternates with the item pass to a fixpoint, about n/4 rounds of
+all-pair comparisons on a path, and it saves the search few nodes.
 
 All of this runs once per part.  For every invariant, the requirements
 fall into parts linked by shared items, and items of different parts
@@ -51,9 +52,12 @@ smaller.  Without the side constraint the greedy picks the item in the most
 unmet requirements.  With it, the greedy never leaves a pick without a
 picked neighbor: each step adds either one item that sees a selected item or
 a free item together with a free neighbor, whichever meets more unmet
-requirements per pick.  On a path that incumbent is already optimal, and the
-root's coverage bound proves it.  A root left at a gap improves it by local
-search, dropping picks and trading two picks for one free item until
+requirements per pick.  Gains only fall, so the greedy is lazy (Minoux,
+1978): old scores wait on a heap and only those that could still lead are
+scored again, which makes the picks of a full scan at every step in
+near-linear time on a path.  There that incumbent is already optimal, and
+the root's coverage bound proves it.  A root left at a gap improves it by
+local search, dropping picks and trading two picks for one free item until
 neither move applies (the (2,1)-swaps of Andrade, Resende and Werneck, J.
 Heuristics 18, 2012).  And a search that finds an incumbent at most one
 above the root bound starts again from the root, whose fixing rules then
@@ -106,6 +110,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from .hcore import (
@@ -178,8 +183,7 @@ def _min_selection(nitems: int, reqs, total: bool = False, nb=None):
         # one item pass and no requirement dropped: the side constraint's
         # adjacency is read off the requirements as given, and every step
         # after this one intersects their masks with kept
-        kept = _thin(part, adj, allowed, demand)
-        holds = _holds(part, kept)
+        kept, holds = _thin(part, adj, allowed, demand)
         greedy = _greedy(part, adj, kept, holds)
         cuts = None
         if nb is not None:
@@ -241,9 +245,12 @@ def _rank2_cuts(nb, allowed, items) -> list[int]:
     return list(cuts)
 
 
-def _thin(reqs, adj, allowed, demand) -> int:
-    """allowed less the items that kept items stand in for, tested one at a
-    time from the highest index down, so that a tie keeps the lower index.
+def _thin(reqs, adj, allowed, demand) -> tuple[int, list[int]]:
+    """(kept, holds): allowed less the items that kept items stand in for,
+    tested one at a time from the highest index down, so that a tie keeps
+    the lower index, and per item index the bits of the requirements
+    holding it among allowed.  Both come from one walk over the
+    requirements' items.
 
     Without adj, item i goes when at least `demand` other kept items, that
     many as the largest demand of all, lie in every requirement holding i:
@@ -255,16 +262,25 @@ def _thin(reqs, adj, allowed, demand) -> int:
     kept neighbor other than i: j takes i's place, or j's neighbor does when
     j is already selected, and every neighbor of i sees j.
     """
-    common: dict[int, int] = {}   # item bit -> AND of its requirements
-    for mask, _ in reqs:
+    common = [-1] * allowed.bit_length()   # item -> AND of its requirements
+    holds = [0] * allowed.bit_length()
+    kept = 0
+    for r, (mask, _) in enumerate(reqs):
+        bit = 1 << r
         rest = mask & allowed   # inline, not bit_indices: this loop is hot
+        kept |= rest
         while rest:
             b = rest & -rest
             rest ^= b
-            common[b] = common.get(b, mask) & mask
-    kept = sum(common)   # distinct bits: the sum is their union
-    for b in sorted(common, reverse=True):
-        others = common[b] & kept & ~b
+            i = b.bit_length() - 1
+            common[i] &= mask
+            holds[i] |= bit
+    rest = kept
+    while rest:   # from the highest index down
+        i = rest.bit_length() - 1
+        b = 1 << i
+        rest ^= b
+        others = common[i] & kept & ~b
         if not others:
             continue
         if adj is None:
@@ -275,7 +291,7 @@ def _thin(reqs, adj, allowed, demand) -> int:
             if adj[j] & kept & ~b:
                 kept ^= b
                 break
-    return kept
+    return kept, holds
 
 
 def _greedy(reqs, adj, allowed, holds) -> int:
@@ -285,70 +301,90 @@ def _greedy(reqs, adj, allowed, holds) -> int:
     Without adj, it repeatedly picks the item in the most unmet requirements,
     the lowest index on ties.  With adj (the side constraint, demand 1) no
     pick is ever left without a selected neighbor: each step takes the best
-    of two kinds of move, gains doubled to stay integral, the first one
-    found on ties, scanning items by increasing index:
+    of two kinds of move, gains doubled to stay integral, the lower item
+    and then the lower partner on ties:
     - a free item that already sees a selected item, at twice its gain;
     - a free item that sees no selected item, together with a free usable
-      neighbor, at the gain of the pair.
-    A gain is the number of unmet requirements met, read from holds,
-    _holds(reqs, allowed).
+      neighbor, its partner, at the gain of the pair.
+    A gain is the number of unmet requirements met, read from holds.
+
+    It is lazy (Minoux's accelerated greedy, LNCS 7, 1978) and makes the
+    same picks as a scan of every move at every step.  A move is scored as
+    (-value, item, partner), partner -1 for a lone item, so the best move
+    is the least.  Gains only fall as requirements are met, so a score kept
+    from before a pick bounds its item's best move now.  Those wait on a
+    heap, and an item's best move is scored afresh only while its old score
+    still beats the best move scored since the last pick, which is taken
+    once none does.  The one exception is an item that comes to see a pick,
+    which may be worth more alone than with any partner: every such item is
+    scored afresh before the next pick.
     """
-    sel = 0
+    sel = near = 0   # the selection, and with adj the items that see it
     unmet = (1 << len(reqs)) - 1   # bits of the requirements short of need
-    if adj is not None:
-        while unmet:
-            best_gain, best_move = 0, 0
-            for i in bit_indices(allowed & ~sel):
-                if adj[i] & sel:
-                    gain = 2 * (holds[i] & unmet).bit_count()
-                    if gain > best_gain:
-                        best_gain, best_move = gain, 1 << i
-                    continue
-                for j in bit_indices(adj[i] & allowed & ~sel):
-                    gain = ((holds[i] | holds[j]) & unmet).bit_count()
-                    if gain > best_gain:
-                        best_gain, best_move = gain, 1 << i | 1 << j
-            if not best_move:
-                r = (unmet & -unmet).bit_length() - 1
-                raise InfeasibleError(
-                    f"requirement {bin(reqs[r][0])} has no usable item with "
-                    f"a usable neighbor"
-                )
-            sel |= best_move
-            for i in bit_indices(best_move):
-                unmet &= ~holds[i]
-        return sel
     short = [need for _, need in reqs]   # picks each one still needs
+    heap = []    # the moves scored before the last pick
+    top = None   # the best move scored since the last pick
+    fresh = allowed   # the items to score before the next pick
     while unmet:
-        best_gain, best_item = 0, 0
-        for i in bit_indices(allowed & ~sel):
-            gain = (holds[i] & unmet).bit_count()
-            if gain > best_gain:
-                best_gain, best_item = gain, i
-        if not best_gain:
+        if fresh:
+            b = fresh & -fresh
+            fresh ^= b
+            i = b.bit_length() - 1
+        elif heap and (top is None or heap[0] < top):
+            i = heappop(heap)[1]
+            if sel >> i & 1:
+                continue
+        elif top is not None:   # no other move can beat it
+            _, i, best = top
+            top = None
+            if adj is None:
+                sel |= 1 << i
+                for r in bit_indices(holds[i] & unmet):
+                    short[r] -= 1
+                    if not short[r]:
+                        unmet ^= 1 << r
+                continue
+            seen = near
+            for p in (i,) if best < 0 else (i, best):   # demand 1
+                sel |= 1 << p
+                unmet &= ~holds[p]
+                near |= adj[p]
+            fresh = near & ~seen & allowed & ~sel
+            continue
+        else:
             r = (unmet & -unmet).bit_length() - 1
+            if adj is None:
+                raise InfeasibleError(
+                    f"requirement {bin(reqs[r][0])} has too few usable items"
+                )
             raise InfeasibleError(
-                f"requirement {bin(reqs[r][0])} has too few usable items"
+                f"requirement {bin(reqs[r][0])} has no usable item with "
+                f"a usable neighbor"
             )
-        sel |= 1 << best_item
-        for r in bit_indices(holds[best_item] & unmet):
-            short[r] -= 1
-            if not short[r]:
-                unmet ^= 1 << r
+        value, best = 0, -1   # item i's best move now
+        if adj is None:
+            value = (holds[i] & unmet).bit_count()
+        elif adj[i] & sel:
+            value = 2 * (holds[i] & unmet).bit_count()
+        else:
+            rest = adj[i] & allowed & ~sel   # inline: this loop is hot
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                j = b.bit_length() - 1
+                gain = ((holds[i] | holds[j]) & unmet).bit_count()
+                if gain > value:
+                    value, best = gain, j
+        if value:
+            move = (-value, i, best)
+            if top is None:
+                top = move
+            elif move < top:
+                heappush(heap, top)
+                top = move
+            else:
+                heappush(heap, move)
     return sel
-
-
-def _holds(reqs, allowed) -> list[int]:
-    """Item index -> bits of the requirements holding it among allowed."""
-    holds = [0] * allowed.bit_length()
-    for r, (mask, _) in enumerate(reqs):
-        bit = 1 << r
-        rest = mask & allowed   # inline, not bit_indices: this loop is hot
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            holds[b.bit_length() - 1] |= bit
-    return holds
 
 
 _SLACK = itemgetter(0)   # key of an active entry: its slack
@@ -789,12 +825,14 @@ def is_strong_transversal(H: Hypergraph, S) -> bool:
 
 def is_total_transversal(H: Hypergraph, S) -> bool:
     s = set(S)
-    if not all(s.intersection(e) for e in H.edges):
-        return False
-    for v in s:
-        if not any(v in e and s.intersection(e) - {v} for e in H.edges):
+    seen = set()   # members in an edge with another member
+    for e in H.edges:
+        hit = s.intersection(e)
+        if not hit:
             return False
-    return True
+        if len(hit) > 1:
+            seen |= hit
+    return seen == s
 
 
 def is_dominating(H: Hypergraph, S) -> bool:
@@ -821,15 +859,15 @@ def is_total_dominating(H: Hypergraph, S) -> bool:
 
 def is_total_edge_cover(G: Graph, F) -> bool:
     chosen = set(tuple(sorted(e)) for e in F)
-    if not chosen.issubset(set(G.edges)):
+    if not chosen.issubset(G.edges):
         return False
-    covered = {v for e in chosen for v in e}
-    if len(covered) != G.n:
-        return False
-    for e in chosen:
-        if not any(f != e and set(f) & set(e) for f in chosen):
-            return False
-    return True
+    ends = {}   # vertex -> the number of chosen edges at it
+    for u, v in chosen:
+        ends[u] = ends.get(u, 0) + 1
+        ends[v] = ends.get(v, 0) + 1
+    # a chosen edge meets another exactly when one of its ends is in two
+    return len(ends) == G.n and all(ends[u] > 1 or ends[v] > 1
+                                    for u, v in chosen)
 
 
 _PREDICATES = {

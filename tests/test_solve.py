@@ -14,7 +14,6 @@ from hypertrans.hcore import (
 from hypertrans.solve import (
     InfeasibleError,
     _greedy,
-    _holds,
     _min_selection,
     _parts,
     brute_force_oracle,
@@ -145,6 +144,75 @@ def test_witnesses_are_valid_and_deterministic():
             assert (a.value, a.witness) == (b.value, b.witness)
             assert pred(H, a.witness)
             assert len(a.witness) == a.value
+
+
+def _is_total_transversal_by_pairs(H, S) -> bool:
+    """The member-by-edge form of `is_total_transversal`, its reference."""
+    s = set(S)
+    if not all(s.intersection(e) for e in H.edges):
+        return False
+    for v in s:
+        if not any(v in e and s.intersection(e) - {v} for e in H.edges):
+            return False
+    return True
+
+
+def _is_total_edge_cover_by_pairs(G, F) -> bool:
+    """The edge-by-edge form of `is_total_edge_cover`, its reference."""
+    chosen = set(tuple(sorted(e)) for e in F)
+    if not chosen.issubset(set(G.edges)):
+        return False
+    covered = {v for e in chosen for v in e}
+    if len(covered) != G.n:
+        return False
+    for e in chosen:
+        if not any(f != e and set(f) & set(e) for f in chosen):
+            return False
+    return True
+
+
+def test_linear_predicates_match_the_pairwise_ones():
+    """`is_total_transversal` and `is_total_edge_cover`, one pass over the
+    edges each, agree with their pairwise forms on random sets: empty ones,
+    ones with members in no edge or outside the vertices, edge sets with
+    reversed pairs, repeats and non-edges, and witnesses of the solver, so
+    that both verdicts occur often."""
+    rng = random.Random(3030)
+    verdicts = {(name, ok): 0 for name in ("tau_t", "ec_t")
+                for ok in (False, True)}
+    for trial in range(1500):
+        H = _rand_hg(rng, n_max=9, m_max=7)
+        if trial % 3 == 0:
+            try:
+                S = list(tau_t(H).witness)
+            except InfeasibleError:
+                S = []
+            if S and trial % 2:
+                S.remove(rng.choice(S))
+        else:
+            S = rng.sample(range(H.n + 2), rng.randint(0, H.n + 2))
+        want = _is_total_transversal_by_pairs(H, S)
+        assert is_total_transversal(H, S) == want, (H, S)
+        verdicts["tau_t", want] += 1
+        G = _rand_graph(rng, n_max=8)
+        if trial % 3 == 0:
+            try:
+                F = list(ec_t(G).witness)
+            except InfeasibleError:
+                F = []
+            if F and trial % 2:
+                F.remove(rng.choice(F))
+        else:
+            F = rng.sample(G.edges, rng.randint(0, G.m))
+        if F and rng.random() < 0.3:
+            F.append(F[0][::-1])   # the same edge again, reversed
+        if rng.random() < 0.2:
+            u, v = rng.sample(range(G.n + 1), 2)
+            F.append((u, v))   # often a non-edge
+        want = _is_total_edge_cover_by_pairs(G, F)
+        assert is_total_edge_cover(G, F) == want, (G, F)
+        verdicts["ec_t", want] += 1
+    assert min(verdicts.values()) >= 150, verdicts
 
 
 def _twin_and_nested(rng, H):
@@ -289,17 +357,24 @@ def test_oracle_sweep():
         _assert_matches_oracle(_rand_graph(rng, n_max=9), "ec_t")
 
 
+def _holds_of(reqs, allowed) -> list[int]:
+    """Item index -> bits of the requirements holding it, for the items of
+    allowed, by the definition."""
+    return [sum(1 << r for r, (mask, _) in enumerate(reqs) if mask >> i & 1)
+            if allowed >> i & 1 else 0 for i in range(allowed.bit_length())]
+
+
 def test_greedy_raises_when_nothing_can_be_picked():
     # three items wanted where two exist
     with pytest.raises(InfeasibleError):
-        _greedy([(0b11, 3)], None, 0b11, _holds([(0b11, 3)], 0b11))
+        _greedy([(0b11, 3)], None, 0b11, _holds_of([(0b11, 3)], 0b11))
     with pytest.raises(InfeasibleError):
         _min_selection(2, [(0b11, 3)])
     # the single edge {0, 1} under the side constraint with item 0 dropped,
     # as dominance without its neighbor guard would: 1 is left alone
     with pytest.raises(InfeasibleError):
         _greedy([(0b11, 1)], [0b10, 0b01], 0b10,
-                _holds([(0b11, 1)], 0b10))
+                _holds_of([(0b11, 1)], 0b10))
     assert _min_selection(2, [(0b11, 1)], total=True)[:2] == (2, 0b11)
 
 
@@ -331,9 +406,9 @@ def test_side_constraint_greedy():
         outcomes[feasible] += 1
         if not feasible:
             with pytest.raises(InfeasibleError):
-                _greedy(reqs, adj, allowed, _holds(reqs, allowed))
+                _greedy(reqs, adj, allowed, _holds_of(reqs, allowed))
             continue
-        sel = _greedy(reqs, adj, allowed, _holds(reqs, allowed))
+        sel = _greedy(reqs, adj, allowed, _holds_of(reqs, allowed))
         assert sel & ~allowed == 0
         assert all(m & sel for m in masks)
         assert all(adj[i] & sel for i in bit_indices(sel))
@@ -342,7 +417,116 @@ def test_side_constraint_greedy():
     # requirement, and nothing usable is left for the second
     reqs = [(0b011, 1), (0b100, 1)]
     with pytest.raises(InfeasibleError):
-        _greedy(reqs, [0b010, 0b001, 0], 0b011, _holds(reqs, 0b011))
+        _greedy(reqs, [0b010, 0b001, 0], 0b011, _holds_of(reqs, 0b011))
+
+
+def _scan_greedy(reqs, adj, allowed, holds) -> int:
+    """The greedy as it was before its heap: a scan over every free item at
+    every step, kept as the reference for `_greedy`.  Without adj, the item
+    in the most unmet requirements, the lowest index on ties; with adj, the
+    best single item that sees a pick (gain doubled) or free item with a
+    free usable neighbor, the first found on ties."""
+    sel = 0
+    unmet = (1 << len(reqs)) - 1
+    if adj is not None:
+        while unmet:
+            best_gain, best_move = 0, 0
+            for i in bit_indices(allowed & ~sel):
+                if adj[i] & sel:
+                    gain = 2 * (holds[i] & unmet).bit_count()
+                    if gain > best_gain:
+                        best_gain, best_move = gain, 1 << i
+                    continue
+                for j in bit_indices(adj[i] & allowed & ~sel):
+                    gain = ((holds[i] | holds[j]) & unmet).bit_count()
+                    if gain > best_gain:
+                        best_gain, best_move = gain, 1 << i | 1 << j
+            if not best_move:
+                r = (unmet & -unmet).bit_length() - 1
+                raise InfeasibleError(
+                    f"requirement {bin(reqs[r][0])} has no usable item with "
+                    f"a usable neighbor"
+                )
+            sel |= best_move
+            for i in bit_indices(best_move):
+                unmet &= ~holds[i]
+        return sel
+    short = [need for _, need in reqs]
+    while unmet:
+        best_gain, best_item = 0, 0
+        for i in bit_indices(allowed & ~sel):
+            gain = (holds[i] & unmet).bit_count()
+            if gain > best_gain:
+                best_gain, best_item = gain, i
+        if not best_gain:
+            r = (unmet & -unmet).bit_length() - 1
+            raise InfeasibleError(
+                f"requirement {bin(reqs[r][0])} has too few usable items"
+            )
+        sel |= 1 << best_item
+        for r in bit_indices(holds[best_item] & unmet):
+            short[r] -= 1
+            if not short[r]:
+                unmet ^= 1 << r
+    return sel
+
+
+def test_lazy_greedy_picks_what_the_scan_picked():
+    """`_greedy` returns the scan's selection, or raises its error text, on
+    random requirement systems: demand 1, demand 1 and 2 mixed, and demand
+    1 under the side constraint; every item allowed or a random subset, as
+    a reduction leaves it, with holds over every item, as `_thin` gives
+    them.  The masks come from a few items, often repeat, and often hold a
+    twin of another item, so gains tie at many steps."""
+    rng = random.Random(2020)
+    counts = {(kind, bad): 0 for kind in range(3) for bad in (False, True)}
+    twins = 0
+    for trial in range(3000):
+        kind = trial % 3   # demand 1, demand 2 mixed in, side constraint
+        nitems = rng.randint(1, 12)
+        pool = rng.sample(range(nitems), rng.randint(1, nitems))
+        masks = []
+        for _ in range(rng.randint(1, 10)):
+            if masks and rng.random() < 0.3:
+                masks.append(rng.choice(masks))
+                continue
+            size = rng.randint(1, min(4, len(pool)))
+            masks.append(sum(1 << i for i in rng.sample(pool, size)))
+        if nitems > 1 and rng.random() < 0.5:
+            # b joins exactly the masks of a
+            a, b = rng.sample(range(nitems), 2)
+            masks = [m | 1 << b if m >> a & 1 else m & ~(1 << b)
+                     for m in masks]
+            twins += any(m >> a & 1 for m in masks)
+        reqs = [(m, 2 if kind == 1 and rng.random() < 0.6 else 1)
+                for m in masks]
+        adj = mask_neighborhoods(nitems, masks) if kind == 2 else None
+        allowed = (1 << nitems) - 1
+        holds = _holds_of(reqs, allowed)
+        if trial % 4 == 0:
+            allowed &= rng.getrandbits(nitems)
+        got = []
+        for fn in (_scan_greedy, _greedy):
+            try:
+                got.append(fn(reqs, adj, allowed, holds))
+            except InfeasibleError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1], (reqs, allowed, kind)
+        counts[kind, isinstance(got[0], str)] += 1
+    assert min(counts.values()) >= 100, counts
+    assert twins >= 500, twins
+    # after the pair (0, 5), item 8 sees item 0 and is worth 6 alone, more
+    # than its old pair score of 5 (with item 7): only scoring it afresh
+    # makes the scan's next pick
+    edges = [[3, 7], [6, 7, 8], [7, 8], [4, 5], [2, 7, 8], [0, 8], [2],
+             [1, 5], [0, 5], [1, 5]]
+    masks = [sum(1 << i for i in e) for e in edges]
+    reqs = [(m, 1) for m in masks]
+    adj = mask_neighborhoods(9, masks)
+    holds = _holds_of(reqs, 0x1FF)
+    want = _scan_greedy(reqs, adj, 0x1FF, holds)
+    assert want == 1 << 0 | 1 << 2 | 1 << 5 | 1 << 7 | 1 << 8
+    assert _greedy(reqs, adj, 0x1FF, holds) == want
 
 
 def test_side_constraint_on_the_100_vertex_path():
@@ -878,15 +1062,19 @@ def test_one_item_pass_per_part(monkeypatch):
 
 def test_paths_take_at_most_two_nodes():
     """On the 2,000-vertex path the root's one item pass leaves a search
-    that closes at once: tau, gamma_t and tau_strong each take at most 2
-    nodes.  While the root alternated the item pass with dropping implied
-    requirements, it took about n/4 rounds of all-pair comparisons there."""
+    that closes at once: each of the six invariants takes at most 2 nodes,
+    ec_t on the path graph.  While the root alternated the item pass with
+    dropping implied requirements, it took about n/4 rounds of all-pair
+    comparisons there."""
     n = 2000
     P = hypergraph(n, [[i, i + 1] for i in range(n - 1)])
-    for fn, want in ((tau, 1000), (gamma_t, 1000), (tau_strong, 2000)):
-        got = fn(P)
+    G = graph(n, [(i, i + 1) for i in range(n - 1)])
+    for fn, want in ((tau, 1000), (gamma_t, 1000), (tau_strong, 2000),
+                     (tau_t, 1333), (gamma, 667), (ec_t, 1334)):
+        obj = G if fn is ec_t else P
+        got = fn(obj)
         assert got.value == want == len(got.witness), fn.__name__
-        assert _DEFINITIONS[fn.__name__](P, got.witness)
+        assert _DEFINITIONS[fn.__name__](obj, got.witness)
         assert got.nodes <= 2, (fn.__name__, got.nodes)
 
 
