@@ -301,7 +301,10 @@ def _spanning_tree_labels(G: Graph) -> list[int]:
 def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
     """Vertex-disjoint 3-vertex paths (a, center, b).
 
-    exact mode maximizes the count by masked search (n <= cap); greedy scans
+    exact mode maximizes the count by a memoized search over vertex masks
+    (n <= cap): a mask's packing leaves its lowest vertex v out unless a
+    path through v gives strictly more paths, and then takes the first path
+    through v, in `options` order, that gives the most.  greedy scans
     centers ascending and is maximal but not always maximum.
     """
     if mode not in ("exact", "greedy"):
@@ -324,7 +327,7 @@ def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
     if G.n > cap:
         raise ValueError(f"{G.n} vertices exceeds the exact-mode cap {cap}")
 
-    memo: dict[int, int] = {}
+    memo: dict[int, tuple] = {}
 
     def options(v: int, mask: int):
         # P3s through v inside mask, canonical order: v as endpoint, then center
@@ -336,33 +339,22 @@ def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
             for j in range(i + 1, len(ends)):
                 yield (ends[i], v, ends[j])
 
-    def best(mask: int) -> int:
+    def best(mask: int) -> tuple:
         if mask == 0:
-            return 0
+            return ()
         if mask in memo:
             return memo[mask]
         v = (mask & -mask).bit_length() - 1
-        res = best(mask & ~(1 << v))
         rest = mask & ~(1 << v)
+        res = best(rest)
         for a, c, b in options(v, rest):
-            res = max(res, 1 + best(mask & ~_mask3(a, c, b)))
+            got = best(mask & ~_mask3(a, c, b))
+            if len(got) >= len(res):
+                res = ((a, c, b),) + got
         memo[mask] = res
         return res
 
-    out = []
-    mask = (1 << G.n) - 1
-    while mask:
-        want = best(mask)
-        v = (mask & -mask).bit_length() - 1
-        if best(mask & ~(1 << v)) == want:
-            mask &= ~(1 << v)
-            continue
-        for a, c, b in options(v, mask & ~(1 << v)):
-            if 1 + best(mask & ~_mask3(a, c, b)) == want:
-                out.append((a, c, b))
-                mask &= ~_mask3(a, c, b)
-                break
-    return out
+    return list(best((1 << G.n) - 1))
 
 
 def _mask3(a: int, c: int, b: int) -> int:

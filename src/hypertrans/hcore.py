@@ -201,15 +201,11 @@ def _max_shared(H: Hypergraph, masks, degrees) -> int:
 
 
 def neighborhood(H: Hypergraph, v: int) -> set[int]:
-    """Open neighborhood N(v): all vertices sharing an edge with v."""
+    """Open neighborhood N(v): all vertices sharing an edge with v, read
+    off `neighborhood_masks`."""
     if not 0 <= v < H.n:
         raise IndexError(f"vertex {v} out of range 0..{H.n - 1}")
-    out: set[int] = set()
-    for e in H.edges:
-        if v in e:
-            out.update(e)
-    out.discard(v)
-    return out
+    return set(bit_indices(neighborhood_masks(H)[v]))
 
 
 def neighborhood_masks(H: Hypergraph) -> list[int]:

@@ -31,7 +31,7 @@ from .hcore import (
     hypergraph,
     shared_vertices,
 )
-from .solve import tau, tau_strong, tau_t, gamma_t
+from .solve import solve, tau_t
 
 
 def _lex_min(H: Hypergraph, stop_below: bool) -> tuple:
@@ -196,15 +196,19 @@ def _enumerate_nm(k: int, n: int, m: int, canonical: dict):
     yield from dfs([first], k)
 
 
+# draws random_hypergraph makes before it gives up on require_class
+_TRIES = 500
+
+
 def random_hypergraph(
     k: int, n: int, m: int, seed: int, require_class: bool = False,
-    tries: int = 500,
 ) -> Hypergraph:
     """m distinct uniform k-subsets of an n-set, reproducible per seed.
 
     With require_class, isolated vertices are repaired by restriction to the
-    covered set and the draw is repeated until the result lands in the sound
-    class; gives the uniform distribution conditioned on class membership.
+    covered set and the draw is repeated, up to _TRIES times, until the
+    result lands in the sound class; gives the uniform distribution
+    conditioned on class membership.
     """
     if m < 1:
         raise ValueError("need at least one edge")
@@ -220,7 +224,7 @@ def random_hypergraph(
 
     if not require_class:
         return hypergraph(n, draw())
-    for _ in range(tries):
+    for _ in range(_TRIES):
         edges = draw()
         covered = sorted({v for e in edges for v in e})
         idx = {v: i for i, v in enumerate(covered)}
@@ -228,7 +232,7 @@ def random_hypergraph(
         if class_check(H).in_Hk:
             return H
     raise RuntimeError(
-        f"no in-class instance after {tries} draws (k={k}, n={n}, m={m})"
+        f"no in-class instance after {_TRIES} draws (k={k}, n={n}, m={m})"
     )
 
 
@@ -253,35 +257,36 @@ def estimate_bk(
 ) -> BkEstimate:
     """Best observed ratio of total transversal to n+m over the sound class.
 
-    Exhausts the small-instance enumeration first, then spends the remaining
-    budget on random in-class draws over small shapes.  Strict improvement
-    keeps the earliest witness, so the estimate is monotone in budget.
+    One stream of instances, cut to the first budget: the small-instance
+    enumeration, then seeded random in-class draws cycling through small
+    shapes.  Strict improvement keeps the earliest witness, so the estimate
+    is monotone in budget, and mode says which part of the stream it came
+    from.
     """
+    if k < 2:   # enumerate_Hk's own check, which a budget of 0 never reaches
+        raise ValueError(f"k must be at least 2, got {k}")
     dn, dm = _DEFAULT_ENUM.get(k, (k + 2, 3))
     n_max = dn if n_max is None else n_max
     m_max = dm if m_max is None else m_max
-    best: Fraction | None = None
-    witness = None
-    mode = "exhaustive"
-    tested = 0
-    for H in enumerate_Hk(k, n_max, m_max):
-        if tested >= budget:
-            break
-        tested += 1
-        ratio = Fraction(tau_t(H).value, H.n + H.m)
-        if best is None or ratio > best:
-            best, witness, mode = ratio, H, "exhaustive"
     shapes = [(k + 1, 2), (k + 1, 3), (k + 2, 3), (k + 2, 4), (k + 3, 4)]
     shapes = [(n, m) for n, m in shapes if m <= math.comb(n, k)]
-    i = 0
-    while tested < budget and shapes:
-        n, m = shapes[i % len(shapes)]
-        H = random_hypergraph(k, n, m, split_seed(seed, i), require_class=True)
+
+    def draws():
+        for H in enumerate_Hk(k, n_max, m_max):
+            yield H, "exhaustive"
+        for i in itertools.count():
+            n, m = shapes[i % len(shapes)]
+            yield random_hypergraph(k, n, m, split_seed(seed, i),
+                                    require_class=True), "random"
+
+    best: Fraction | None = None
+    witness = mode = None
+    tested = 0
+    for H, kind in itertools.islice(draws(), max(budget, 0)):
         tested += 1
-        i += 1
         ratio = Fraction(tau_t(H).value, H.n + H.m)
         if best is None or ratio > best:
-            best, witness, mode = ratio, H, "random"
+            best, witness, mode = ratio, H, kind
     if witness is None:
         raise ValueError("budget admitted no instances")
     check = Fraction(tau_t(witness).value, witness.n + witness.m)
@@ -325,10 +330,6 @@ def _b_value(k: int) -> tuple[Fraction, str]:
     return Fraction(2, 7), "bound-based"
 
 
-_ROW_SOLVERS = {"tau": tau, "tau_t": tau_t, "tau_strong": tau_strong,
-                "gamma_t": gamma_t}
-
-
 def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
     """Evaluate every theorem row whose class precondition holds; the rest
     are listed as skipped with the failing precondition spelled out."""
@@ -342,7 +343,7 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
 
     def val(name) -> int:
         if name not in cache:
-            cache[name] = _ROW_SOLVERS[name](H).value
+            cache[name] = solve(H, name).value
         return cache[name]
 
     n, m, k = H.n, H.m, cc.k

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -204,6 +205,45 @@ def test_p3_packing_properties_random():
             for a, c, b in paths:
                 assert nbrs[c] >> a & 1 and nbrs[c] >> b & 1
         assert len(p3_packing(G, "exact")) >= len(p3_packing(G, "greedy"))
+
+
+def _max_p3_count(G) -> int:
+    """The most vertex-disjoint 3-vertex paths in G, by trying every set of
+    paths from the largest size down; a path is a center c and two
+    distinct neighbors a < b of c."""
+    adj = set(G.edges)
+    paths = [
+        (1 << a) | (1 << c) | (1 << b)
+        for c in range(G.n)
+        for a, b in itertools.combinations(range(G.n), 2)
+        if c not in (a, b) and tuple(sorted((a, c))) in adj
+        and tuple(sorted((c, b))) in adj
+    ]
+    for t in range(G.n // 3, 0, -1):
+        for chosen in itertools.combinations(paths, t):
+            union = 0
+            for p in chosen:
+                union |= p
+            if union.bit_count() == 3 * t:
+                return t
+    return 0
+
+
+def test_p3_packing_exact_is_maximum():
+    """exact mode finds as many paths as a brute force over sets of paths,
+    on seeded random graphs of every density, so empty and disconnected
+    ones among them."""
+    rng = random.Random(9)
+    cases = [graph(0, []), graph(5, []),
+             graph(9, [(0, 1), (1, 2), (3, 4), (6, 7), (7, 8), (6, 8)])]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        p = rng.random()
+        cases.append(graph(n, [(u, v) for u, v in
+                               itertools.combinations(range(n), 2)
+                               if rng.random() < p]))
+    for G in cases:
+        assert len(p3_packing(G, "exact")) == _max_p3_count(G), G
 
 
 def _rand_connected_cubic(rng, n):

@@ -339,6 +339,10 @@ def test_estimate_random_mode():
 def test_estimate_empty_budget():
     with pytest.raises(ValueError, match="budget"):
         estimate_bk(3, budget=0, seed=1, n_max=3, m_max=2)
+    # an unsound k is reported before the budget, at any budget
+    for budget in (0, 5):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            estimate_bk(1, budget=budget, seed=1)
 
 
 # ---------------------------------------------------------- theorem harness

@@ -23,9 +23,10 @@ checked on its own against the call's arguments: it must name only the
 call's items, hold at least `need` items of every requirement mask and,
 with the side constraint, give every picked item another picked item
 inside some requirement.  Prints, per population and then per kind, the
-number of calls and of masks that moved, the median and the minimum
-seconds of a round per side, the ratio of the medians and the rounds the
-change won.  Standard library only.
+number of calls and of masks that moved, the search nodes of all its
+calls on each side (flagged NODES DIFFER when the totals differ), the
+median and the minimum seconds of a round per side, the ratio of the
+medians and the rounds the change won.  Standard library only.
 """
 
 from __future__ import annotations
@@ -112,14 +113,18 @@ def _load(tree: Path, alias: str):
 
 
 def _outcomes(solve, calls) -> list:
+    """(size, mask, nodes) of each call, or its InfeasibleError text."""
     out = []
     for args in calls:
         try:
-            size, mask, _ = solve._min_selection(*args)
-            out.append((size, mask))
+            out.append(solve._min_selection(*args))
         except solve.InfeasibleError as exc:
             out.append(str(exc))
     return out
+
+
+def _nodes(outcomes) -> int:
+    return sum(o[2] for o in outcomes if not isinstance(o, str))
 
 
 def _meets(args, size, mask) -> bool:
@@ -151,11 +156,13 @@ def _run(solve, calls) -> float:
     return perf_counter() - t
 
 
-def _report(name, calls, moved, times) -> None:
+def _report(name, calls, moved, nodes, times) -> None:
     parent, change = times["parent"], times["change"]
     ratio = statistics.median(change) / statistics.median(parent)
     wins = sum(c < p for c, p in zip(change, parent))
-    print(f"  {name}: {len(calls)} calls, {moved} masks moved; "
+    flag = " NODES DIFFER" if nodes["parent"] != nodes["change"] else ""
+    print(f"  {name}: {len(calls)} calls, {moved} masks moved; nodes "
+          f"{nodes['parent']} -> {nodes['change']}{flag}; "
           f"median {statistics.median(parent):.4f} -> "
           f"{statistics.median(change):.4f} s (min {min(parent):.4f} -> "
           f"{min(change):.4f}), change / parent {ratio:.3f}, change faster "
@@ -175,15 +182,17 @@ def main(argv=None) -> int:
         for call in sorted(calls, key=_kind):
             groups.setdefault((population, _kind(call)), []).append(call)
     moved = dict.fromkeys(groups, 0)
+    nodes = {}   # (population, kind) -> side -> the nodes of its calls
     for key, calls in groups.items():
         want = _outcomes(sides["parent"], calls)
         got = _outcomes(sides["change"], calls)
+        nodes[key] = {"parent": _nodes(want), "change": _nodes(got)}
         differ = []
         for i, (a, b) in enumerate(zip(want, got)):
             if isinstance(a, str) or isinstance(b, str):
                 if a != b:
                     differ.append(i)
-            elif a[0] != b[0] or not _meets(calls[i], *b):
+            elif a[0] != b[0] or not _meets(calls[i], b[0], b[1]):
                 differ.append(i)
             else:
                 moved[key] += a[1] != b[1]
@@ -212,9 +221,11 @@ def main(argv=None) -> int:
                         for r in range(ROUNDS)] for side in sides}
         print(f"{population}:")
         _report("all", captured[population],
-                sum(moved[key] for key in keys), total)
+                sum(moved[key] for key in keys),
+                {side: sum(nodes[key][side] for key in keys)
+                 for side in sides}, total)
         for key in keys:
-            _report(key[1], groups[key], moved[key], times[key])
+            _report(key[1], groups[key], moved[key], nodes[key], times[key])
     return 0
 
 
