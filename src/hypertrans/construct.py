@@ -15,14 +15,14 @@ from fractions import Fraction
 
 from .hcore import (
     Hypergraph, bit_indices, class_check, components, delete_vertices, induced,
-    neighborhood, shared_vertices,
+    neighborhood_masks, shared_vertices,
 )
 from .solve import (
     is_strong_transversal,
     is_total_edge_cover,
     is_total_transversal,
 )
-from .xform import Graph, dual, two_section
+from .xform import Graph, dual
 
 # splitmix64: the per-trial RNG.  64-bit integer arithmetic only, so streams
 # are identical on every platform, and seeds split by index without overlap
@@ -125,21 +125,34 @@ class TrialReport:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
-def _components_with_maps(H: Hypergraph, back):
+def _components_with_maps(H: Hypergraph, back: tuple):
+    blocks = components(H)
+    if len(blocks) == 1:
+        # connected: H itself, without the label map that delete_vertices
+        # would compose with back a second time
+        return [(Hypergraph(H.n, H.edges, None, H.had_multi_edge), back)]
     out = []
-    for block in components(H):
+    for block in blocks:
         sub, local = induced(H, block)
         out.append((sub, tuple(back[v] for v in local)))
     return out
 
 
-def _covering_adjacent_pair(H: Hypergraph):
-    """Lowest adjacent pair {x, y} hitting every edge, or None."""
+def _covering_adjacent_pair(H: Hypergraph, nb):
+    """Lowest adjacent pair {x, y} hitting every edge, or None.
+
+    nb holds H's neighborhood masks.  x walks upward and, for each x, y the
+    neighbors above x, which is the lex order of the 2-section's edges; the
+    lowest such y lying in every edge that misses x gives the pair.
+    """
     masks = H.edge_masks()
-    for x, y in two_section(H).edges:
-        pair = (1 << x) | (1 << y)
-        if all(mask & pair for mask in masks):
-            return x, y
+    for x in range(H.n):
+        ys = nb[x] >> (x + 1) << (x + 1)
+        for mask in masks:
+            if not mask >> x & 1:
+                ys &= mask
+        if ys:
+            return x, (ys & -ys).bit_length() - 1
     return None
 
 
@@ -167,11 +180,12 @@ def _reduce(H: Hypergraph, rule, guarantee: Fraction) -> ConstructionResult:
     """The reduction scheme behind both size bounds, run per component.
 
     A component with an adjacent pair hitting every edge takes that pair.
-    Otherwise rule(C) names its step and the vertices it picks, and says
-    whether they finish C.  If not, they leave with every edge they meet,
-    each edge this isolates is repaired, and the rest splits into its
-    components again.  The trace holds (rule id, picked, repaired) in
-    original indices, and the union is re-checked as a total transversal.
+    Otherwise rule(C, nb), nb being C's neighborhood masks, names its step
+    and the vertices it picks, and says whether they finish C.  If not,
+    they leave with every edge they meet, each edge this isolates is
+    repaired, and the rest splits into its components again.  The trace
+    holds (rule id, picked, repaired) in original indices, and the union is
+    re-checked as a total transversal.
     """
     T: list[int] = []
     trace: list[tuple] = []
@@ -180,8 +194,9 @@ def _reduce(H: Hypergraph, rule, guarantee: Fraction) -> ConstructionResult:
         C, back = work.pop()
         if C.m == 0:
             continue
-        pair = _covering_adjacent_pair(C)
-        name, picked, final = ("pair", pair, True) if pair else rule(C)
+        nb = neighborhood_masks(C)
+        pair = _covering_adjacent_pair(C, nb)
+        name, picked, final = ("pair", pair, True) if pair else rule(C, nb)
         T += [back[v] for v in picked]
         if final:
             trace.append((name, tuple(sorted(back[v] for v in picked)), ()))
@@ -211,12 +226,12 @@ def tt_2uniform(H: Hypergraph) -> ConstructionResult:
     return _reduce(H, _xy_rule, Fraction(2 * (H.n + H.m), 5))
 
 
-def _xy_rule(C: Hypergraph):
+def _xy_rule(C: Hypergraph, nb):
     """A max-degree x (the lowest on ties) and its lowest neighbor y that is
     still covered once x leaves."""
     degs = C.degrees()
     x = max(range(C.n), key=lambda v: (degs[v], -v))
-    y = min(v for v in neighborhood(C, x) if degs[v] >= 2)
+    y = min(v for v in bit_indices(nb[x]) if degs[v] >= 2)
     return "xy", (x, y), False
 
 
@@ -234,15 +249,15 @@ def tt_kuniform(H: Hypergraph) -> ConstructionResult:
     return _reduce(H, _k_rule, Fraction(H.n + H.m, 3))
 
 
-def _k_rule(C: Hypergraph):
-    """The first matching reduction after the covering pair, on connected C;
-    the terminal dual constructions finish C."""
+def _k_rule(C: Hypergraph, nb):
+    """The first matching reduction after the covering pair, on connected C
+    with neighborhood masks nb; the terminal dual constructions finish C."""
     degs = C.degrees()
     if max(degs) >= 3:
         x = max(range(C.n), key=lambda v: (degs[v], -v))
-        nx = neighborhood(C, x)
+        nx = nb[x]
         y = min(
-            v for e in C.edges if x not in e for v in e if v in nx
+            v for e in C.edges if x not in e for v in e if nx >> v & 1
         )
         return "maxdeg", (x, y), False
     ones = [v for v in range(C.n) if degs[v] == 1]

@@ -332,10 +332,11 @@ def _floor_rows(cc: ClassCheck, dp: DegreeProfile, n: int, m: int):
     """class_floor_check's rows from a class check and a degree profile
     already in hand."""
     k = cc.k
+    two = Fraction(2)
     return [
         BoundRow("O2_n", Fraction(k + 1), Fraction(n)),
-        BoundRow("O2_m", Fraction(2), Fraction(m)),
-        BoundRow("O2_maxdeg", Fraction(2), Fraction(dp.Delta)),
+        BoundRow("O2_m", two, Fraction(m)),
+        BoundRow("O2_maxdeg", two, Fraction(dp.Delta)),
         BoundRow("O2_n1", Fraction(2 * k), Fraction(2 * n - dp.n1)),
     ]
 

@@ -7,6 +7,7 @@ generators that realize gamma_t = 2n/(k+1) resp. 2n/(k+2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .hcore import (
@@ -22,9 +23,13 @@ from .hcore import (
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edges stored as sorted unique pairs in lex
-    order.  edge_labels, when present, aligns with edges and records which
-    hypergraph vertex a dual edge came from."""
+    """Simple undirected graph; edge_labels, when present, aligns with edges
+    and records which hypergraph vertex a dual edge came from.
+
+    Invariant: edges are unique pairs (u, v) with 0 <= u < v < n, in lex
+    order.  `to_hypergraph` and `two_section` rely on it and do not check
+    it again; a Graph built by hand must keep it, otherwise use `graph()`.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -46,7 +51,8 @@ class Graph:
         return mask_neighborhoods(self.n, pairs)
 
     def to_hypergraph(self) -> Hypergraph:
-        return hypergraph(self.n, self.edges)
+        # the pairs are already canonical edges (class invariant)
+        return Hypergraph(self.n, self.edges)
 
     def to_text(self) -> str:
         lines = [f"g {self.n} {self.m}"]
@@ -90,24 +96,30 @@ def onh(H: Hypergraph) -> Hypergraph:
     """Open-neighborhood system: one edge N(v) per vertex v.
 
     Duplicate neighborhoods collapse (the flag on the result records it).
-    Size-1 neighborhoods are legitimate here, e.g. a path's leaves.
+    Size-1 neighborhoods are legitimate here, e.g. a path's leaves.  Each
+    N(v) is read off a mask, so it is a sorted tuple inside 0..n-1 as built.
     """
     degs = H.degrees()
     for v in range(H.n):
         if degs[v] == 0:
             raise ValueError(f"vertex {v} is isolated, its neighborhood is empty")
-    nbhd = [bit_indices(nb) for nb in neighborhood_masks(H)]
-    return hypergraph(H.n, nbhd, allow_singletons=True)
+    nbhd = [tuple(bit_indices(nb)) for nb in neighborhood_masks(H)]
+    if () in nbhd:      # a vertex whose only edges are singletons
+        raise ValueError("empty edge")
+    edges = tuple(sorted(set(nbhd)))
+    return Hypergraph(H.n, edges, None, len(edges) < H.n)
 
 
 def two_section(H: Hypergraph) -> Graph:
-    """Graph on the same vertices; uv is an edge iff some hyperedge has both."""
+    """Graph on the same vertices; uv is an edge iff some hyperedge has both.
+
+    Edges are sorted tuples inside 0..n-1, so their pairs already are u < v
+    in range, and the set makes them unique.
+    """
     pairs = set()
     for e in H.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                pairs.add((e[i], e[j]))
-    return graph(H.n, sorted(pairs))
+        pairs.update(itertools.combinations(e, 2))
+    return Graph(H.n, tuple(sorted(pairs)))
 
 
 def dual(H: Hypergraph) -> Graph:

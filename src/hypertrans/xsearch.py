@@ -132,10 +132,15 @@ def enumerate_Hk(k: int, n_max: int, m_max: int, nm_max: int | None = None):
     later edge lies above every edge of E' and adding edges only lowers the
     sorted order statistics.  So a cut subtree holds no class and the stream
     is unchanged.  Canonicity of an edge list does not depend on the shape,
-    so each prefix is gated once per call.
+    so each prefix is gated once per call.  k is checked when this is
+    called, before the first instance is pulled.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    return _enumerate(k, n_max, m_max, nm_max)
+
+
+def _enumerate(k: int, n_max: int, m_max: int, nm_max: int | None):
     canonical: dict[tuple, bool] = {}
     for n in range(k + 1, n_max + 1):
         for m in range(2, m_max + 1):
@@ -263,16 +268,15 @@ def estimate_bk(
     is monotone in budget, and mode says which part of the stream it came
     from.
     """
-    if k < 2:   # enumerate_Hk's own check, which a budget of 0 never reaches
-        raise ValueError(f"k must be at least 2, got {k}")
     dn, dm = _DEFAULT_ENUM.get(k, (k + 2, 3))
-    n_max = dn if n_max is None else n_max
-    m_max = dm if m_max is None else m_max
+    # made first: enumerate_Hk checks k when called, at any budget
+    enumeration = enumerate_Hk(k, dn if n_max is None else n_max,
+                               dm if m_max is None else m_max)
     shapes = [(k + 1, 2), (k + 1, 3), (k + 2, 3), (k + 2, 4), (k + 3, 4)]
     shapes = [(n, m) for n, m in shapes if m <= math.comb(n, k)]
 
     def draws():
-        for H in enumerate_Hk(k, n_max, m_max):
+        for H in enumeration:
             yield H, "exhaustive"
         for i in itertools.count():
             n, m = shapes[i % len(shapes)]
@@ -339,11 +343,11 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
         instance_id = hashlib.sha256(H.to_text().encode()).hexdigest()[:12]
     cc = class_check(H)
     dp = degree_profile(H)
-    cache: dict[str, int] = {}
+    cache: dict[str, Fraction] = {}
 
-    def val(name) -> int:
+    def val(name) -> Fraction:
         if name not in cache:
-            cache[name] = solve(H, name).value
+            cache[name] = Fraction(solve(H, name).value)
         return cache[name]
 
     n, m, k = H.n, H.m, cc.k
@@ -355,35 +359,35 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
                              lhs_provenance="solver"))
 
     if cc.in_Hk and k == 2:
-        solver_row("T_b2", Fraction(val("tau_t")), Fraction(2 * (n + m), 5))
+        solver_row("T_b2", val("tau_t"), Fraction(2 * (n + m), 5))
     else:
         skipped.append(("T_b2", "requires a sound 2-uniform instance"))
     if cc.in_Hk and k >= 3:
-        solver_row("T_k3", Fraction(val("tau_t")), Fraction(n + m, 3))
+        solver_row("T_k3", val("tau_t"), Fraction(n + m, 3))
     else:
         skipped.append(("T_k3", "requires a sound instance with k >= 3"))
     theta = Fraction(2 * n + 2 * m - dp.n1)
     if cc.in_Hk and k >= 4:
-        solver_row("T_k4", Fraction(6 * val("tau_t")), theta)
+        solver_row("T_k4", 6 * val("tau_t"), theta)
     else:
         skipped.append(("T_k4", "requires a sound instance with k >= 4"))
     if cc.in_Hk and k >= 5:
-        solver_row("T_k5", Fraction(7 * val("tau_t")), theta)
+        solver_row("T_k5", 7 * val("tau_t"), theta)
     else:
         skipped.append(("T_k5", "requires a sound instance with k >= 5"))
     if cc.in_Hk and 2 <= k <= 6:
-        solver_row("T_main2", Fraction(val("gamma_t")), Fraction(2 * n, k + 1))
+        solver_row("T_main2", val("gamma_t"), Fraction(2 * n, k + 1))
     else:
         skipped.append(("T_main2", "requires a sound instance with k in 2..6"))
     if cc.in_Hk_star and k >= 4:
-        solver_row("T_main3", Fraction(val("gamma_t")), Fraction(n, 3))
+        solver_row("T_main3", val("gamma_t"), Fraction(n, 3))
     else:
         skipped.append(("T_main3", "requires a star-class instance with k >= 4"))
     if cc.in_Hk and k >= 3:
         b, basis = _b_value(k - 1)
         solver_row(
             "T_main1A",
-            Fraction(val("gamma_t")),
+            val("gamma_t"),
             max(Fraction(2, k + 1), b) * n,
             basis=basis,
         )
@@ -393,7 +397,7 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
         b, basis = _b_value(k - 1)
         solver_row(
             "T_main1B",
-            Fraction(val("gamma_t")),
+            val("gamma_t"),
             max(Fraction(2, k + 2), b) * n,
             basis=basis,
         )
@@ -403,11 +407,9 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
         rows.extend(_floor_rows(cc, dp, n, m))
     else:
         skipped.append(("O2", "requires a sound uniform instance"))
-    rows.append(BoundRow("chain_tau", Fraction(val("tau")),
-                         Fraction(val("tau_t")),
+    rows.append(BoundRow("chain_tau", val("tau"), val("tau_t"),
                          lhs_provenance="solver", rhs_provenance="solver"))
-    rows.append(BoundRow("chain_strong", Fraction(val("tau_t")),
-                         Fraction(val("tau_strong")),
+    rows.append(BoundRow("chain_strong", val("tau_t"), val("tau_strong"),
                          lhs_provenance="solver", rhs_provenance="solver"))
     return BoundReport(instance_id, cc, tuple(rows), tuple(skipped))
 

@@ -25,7 +25,7 @@ from hypertrans.construct import (
     tt_kuniform,
 )
 from hypertrans.hcore import (
-    Hypergraph, bit_indices, class_check, components, hypergraph,
+    Hypergraph, bit_indices, class_check, components, hypergraph, induced,
 )
 from hypertrans.solve import (
     is_strong_transversal,
@@ -141,6 +141,37 @@ def test_tt2_differential_random():
         assert is_total_transversal(H, r.set)
         assert r.size <= r.guarantee == Fraction(2 * (H.n + H.m), 5)
         assert tau_t(H).value <= r.size
+
+
+def _components_by_induced(H, back):
+    """_components_with_maps with no shortcut for a connected input: every
+    block goes through induced, which leaves no label map."""
+    out = []
+    for block in components(H):
+        sub, local = induced(H, block)
+        out.append((sub, tuple(back[v] for v in local)))
+    return out
+
+
+def test_tt_connected_rest_keeps_set_and_trace(monkeypatch):
+    """A connected component is reused as is, without its label map; were
+    the map kept, the next deletion would compose it with back again.  On
+    instances whose reduction takes two or more steps before its last, the
+    set and trace must match the path through induced."""
+    rng = random.Random(2211)
+    draws = [(tt_2uniform, _rand_connected_graph_hg(rng, rng.randint(6, 14)))
+             for _ in range(150)]
+    draws += [(tt_kuniform, _rand_hk(rng, 3 + i % 2, rng.randint(7, 12), 6))
+              for i in range(150)]
+    got = [(f, H, f(H)) for f, H in draws]
+    monkeypatch.setattr(construct, "_components_with_maps",
+                        _components_by_induced)
+    deep = 0
+    for f, H, r in got:
+        want = f(H)
+        assert (r.set, r.trace) == (want.set, want.trace)
+        deep += sum(step[0] != "pair" for step in r.trace[:-1]) >= 2
+    assert deep >= 10
 
 
 def test_ttk_pair_rule():

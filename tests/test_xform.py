@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
-from hypertrans.hcore import class_check, hypergraph
+from hypertrans.construct import _covering_adjacent_pair
+from hypertrans.hcore import class_check, hypergraph, neighborhood_masks
 from hypertrans.solve import InfeasibleError, ec_t, gamma_t, tau, tau_t
 from hypertrans.xform import (
     FamilyInstance,
@@ -16,6 +18,8 @@ from hypertrans.xform import (
     shrink_degree_one,
     two_section,
 )
+from hypertrans.xsearch import random_hypergraph
+from shapes import cubic_graph, disjoint_union
 
 
 def _rand_covered_hg(rng, n_max=8):
@@ -68,6 +72,8 @@ def test_onh_keeps_singleton_neighborhoods():
     assert N.edges == ((0, 2), (1,))    # leaves both see only the center
     with pytest.raises(ValueError, match="isolated"):
         onh(hypergraph(3, [[0, 1]]))
+    with pytest.raises(ValueError, match="empty edge"):
+        onh(N)      # the center lies only in the singleton (1,)
 
 
 def test_two_section():
@@ -88,6 +94,60 @@ def test_total_domination_transfers():
         want = gamma_t(H).value
         assert tau(onh(H)).value == want
         assert gamma_t(two_section(H).to_hypergraph()).value == want
+
+
+def _draws(rng):
+    """Seeded hypergraphs for the constructor checks: k = 2..6 in class and
+    not (mixed sizes, isolated vertices, duplicate edges), disjoint unions
+    and the C4, whose neighborhoods collapse."""
+    yield hypergraph(4, [[i, (i + 1) % 4] for i in range(4)])
+    for i in range(480):
+        k = 2 + i % 5
+        n = rng.randint(k + 1, 11)
+        if i % 3 == 0:
+            m = rng.randint(2, min(5, math.comb(n, k)))
+            H = random_hypergraph(k, n, m, rng.getrandbits(64),
+                                  require_class=True)
+        else:
+            edges = [rng.sample(range(n), rng.randint(2, k))
+                     for _ in range(rng.randint(1, 6))]
+            H = hypergraph(n, edges + edges[:i % 2])
+        yield disjoint_union(H, H) if i % 7 == 0 else H
+
+
+def _graphs(rng):
+    """Seeded graphs from graph() and from dual() of the star systems of
+    cubic graphs (each star system is 2-regular and linear)."""
+    for i in range(40):
+        n = rng.randint(2, 10)
+        pairs = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))}
+        G = graph(n, {(min(p), max(p)) for p in pairs})
+        yield G
+        C = cubic_graph(rng, 4 + 2 * (i % 4))
+        stars = [[j for j, e in enumerate(C.edges) if u in e] for u in range(C.n)]
+        yield dual(hypergraph(C.m, stars))
+
+
+def test_constructors_match_definitions():
+    """two_section, onh and Graph.to_hypergraph build their results without
+    the validated constructors; each must equal the validated result of its
+    definition, and the reduction's covering pair must be the first
+    covering edge of the 2-section in lex order."""
+    rng = random.Random(2210)
+    for H in _draws(rng):
+        pairs = sorted({(u, v) for e in H.edges for u in e for v in e if u < v})
+        G = two_section(H)
+        assert G == graph(H.n, pairs)
+        assert G.to_hypergraph() == hypergraph(G.n, G.edges)
+        if all(H.degrees()):
+            nbhd = [[u for e in H.edges if v in e for u in e if u != v]
+                    for v in range(H.n)]
+            assert onh(H) == hypergraph(H.n, nbhd, allow_singletons=True)
+        first = next((p for p in pairs
+                      if all(p[0] in e or p[1] in e for e in H.edges)), None)
+        assert _covering_adjacent_pair(H, neighborhood_masks(H)) == first
+    for G in _graphs(rng):
+        assert G.to_hypergraph() == hypergraph(G.n, G.edges)
 
 
 def test_dual_of_incidence_stars_is_k4():

@@ -272,6 +272,9 @@ def test_enumerate_gate_calls(monkeypatch):
 def test_enumerate_rejects_bad_k():
     with pytest.raises(ValueError):
         list(enumerate_Hk(1, 4, 3))
+    # at the call, before any instance is pulled
+    with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+        enumerate_Hk(1, 5, 3)
 
 
 # ------------------------------------------------------------ random draws
@@ -343,6 +346,9 @@ def test_estimate_empty_budget():
     for budget in (0, 5):
         with pytest.raises(ValueError, match="k must be at least 2"):
             estimate_bk(1, budget=budget, seed=1)
+    with pytest.raises(ValueError) as err:
+        estimate_bk(1, 0, 1)
+    assert str(err.value) == "k must be at least 2, got 1"
 
 
 # ---------------------------------------------------------- theorem harness

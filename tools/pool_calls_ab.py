@@ -26,7 +26,18 @@ inside some requirement.  Prints, per population and then per kind, the
 number of calls and of masks that moved, the search nodes of all its
 calls on each side (flagged NODES DIFFER when the totals differ), the
 median and the minimum seconds of a round per side, the ratio of the
-medians and the rounds the change won.  Standard library only.
+medians and the rounds the change won.
+
+A third population, small calls, runs the package's public calls on the
+pool's instances (the `hg` texts of pool-enumerate's set-up at SEED, each
+parsed by each side): `tt_2uniform` or `tt_kuniform` by the instance's k,
+`onh`, `two_section`, `to_hypergraph` on that side's 2-section,
+`verify_bounds`, and `verify_bounds` again with its module's `solve`
+answered from a table of that side's own results, which times the report
+outside its four solves.  Every call must give `==` output on both sides,
+compared as plain tuples and dicts; the rounds and chunks are as above,
+and each kind's line also gives the median microseconds of one call.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -40,16 +51,21 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 SEED = 1
 ROUNDS = 20
 CHUNK = 500
 POPULATIONS = ("exact-solve", "pool-enumerate")
+SMALL = "small calls"
+SMALL_KINDS = ("tt", "onh", "two_section", "to_hypergraph", "verify_bounds",
+               "verify_bounds outside its solves")
 
 
-def _capture(tree: Path) -> dict[str, list[tuple]]:
+def _capture(tree: Path) -> tuple[dict[str, list[tuple]], list[str]]:
     """Population -> (nitems, reqs, total, nb) of each _min_selection call
-    of one pass of that workload of tree."""
+    of one pass of that workload of tree, and the hg text of each of the
+    pool's instances."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     cwd = os.getcwd()
     os.chdir(tree)   # the set-ups write their instance files below the tree
@@ -73,7 +89,10 @@ def _capture(tree: Path) -> dict[str, list[tuple]]:
             run(inputs, Recorder(NullTracer()))
             solve._min_selection = inner
             out[population], calls = calls, []
-        return out
+        texts = [args[0] for _, fn, args in
+                 workloads.pool_setup(SEED, NullTracer())
+                 if fn is workloads._pool_item]
+        return out, texts
     finally:
         os.chdir(cwd)
 
@@ -100,8 +119,9 @@ def _kind(args) -> str:
     return f"{kind}, {'one part' if len(groups) < 2 else 'several parts'}"
 
 
-def _load(tree: Path, alias: str):
-    """tree's hypertrans.solve, imported as the package `alias`."""
+def _load(tree: Path, alias: str) -> SimpleNamespace:
+    """tree's hypertrans, imported as the package `alias`; its modules by
+    name (the package's own `solve` is the function, not the module)."""
     package = tree / "src" / "hypertrans"
     spec = importlib.util.spec_from_file_location(
         alias, package / "__init__.py",
@@ -109,7 +129,47 @@ def _load(tree: Path, alias: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[alias] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(alias + ".solve")
+    return SimpleNamespace(**{
+        name: importlib.import_module(f"{alias}.{name}")
+        for name in ("construct", "hcore", "solve", "xform", "xsearch")})
+
+
+def _small_calls(pkg, texts) -> dict[str, tuple]:
+    """Small-call kind -> (function, argument tuples, plain) on pkg, where
+    plain(result) is the result as tuples and dicts, comparable across the
+    two packages."""
+    hs = [pkg.hcore.from_text(text) for text in texts]
+    graphs = [pkg.xform.two_section(H) for H in hs]
+    answers = {(id(H), name): pkg.solve.solve(H, name)
+               for H in hs for name in ("tau", "tau_t", "tau_strong", "gamma_t")}
+    xsearch, real = pkg.xsearch, pkg.xsearch.solve
+
+    def tt(H):
+        k = len(H.edges[0])
+        return (pkg.construct.tt_2uniform if k == 2 else pkg.construct.tt_kuniform)(H)
+
+    def tabled(H):
+        xsearch.solve = lambda H, name: answers[id(H), name]
+        try:
+            return xsearch.verify_bounds(H)
+        finally:
+            xsearch.solve = real
+
+    def hg(H):
+        return H.n, H.edges, H.labels, H.had_multi_edge
+
+    each = [(H,) for H in hs]
+    return {
+        "tt": (tt, each, lambda r: (r.set, r.guarantee, r.trace)),
+        "onh": (pkg.xform.onh, each, hg),
+        "two_section": (pkg.xform.two_section, each,
+                        lambda G: (G.n, G.edges, G.edge_labels)),
+        "to_hypergraph": (pkg.xform.Graph.to_hypergraph,
+                          [(G,) for G in graphs], hg),
+        "verify_bounds": (xsearch.verify_bounds, each, lambda r: r.as_dict()),
+        "verify_bounds outside its solves": (tabled, each,
+                                             lambda r: r.as_dict()),
+    }
 
 
 def _outcomes(solve, calls) -> list:
@@ -145,8 +205,7 @@ def _meets(args, size, mask) -> bool:
     return True
 
 
-def _run(solve, calls) -> float:
-    fn, error = solve._min_selection, solve.InfeasibleError
+def _run(fn, calls, error) -> float:
     t = perf_counter()
     for args in calls:
         try:
@@ -157,12 +216,20 @@ def _run(solve, calls) -> float:
 
 
 def _report(name, calls, moved, nodes, times) -> None:
+    """One kind's line; moved and nodes are None for the small calls, which
+    give microseconds per call instead."""
     parent, change = times["parent"], times["change"]
     ratio = statistics.median(change) / statistics.median(parent)
     wins = sum(c < p for c, p in zip(change, parent))
-    flag = " NODES DIFFER" if nodes["parent"] != nodes["change"] else ""
-    print(f"  {name}: {len(calls)} calls, {moved} masks moved; nodes "
-          f"{nodes['parent']} -> {nodes['change']}{flag}; "
+    if nodes is None:
+        work = "per call {:.1f} -> {:.1f} us; ".format(
+            *(statistics.median(times[side]) / len(calls) * 1e6
+              for side in ("parent", "change")))
+    else:
+        flag = " NODES DIFFER" if nodes["parent"] != nodes["change"] else ""
+        work = (f"{moved} masks moved; nodes {nodes['parent']} -> "
+                f"{nodes['change']}{flag}; ")
+    print(f"  {name}: {len(calls)} calls, {work}"
           f"median {statistics.median(parent):.4f} -> "
           f"{statistics.median(change):.4f} s (min {min(parent):.4f} -> "
           f"{min(change):.4f}), change / parent {ratio:.3f}, change faster "
@@ -174,7 +241,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     args = ap.parse_args(argv)
-    captured = _capture(args.parent.resolve())
+    captured, texts = _capture(args.parent.resolve())
     sides = {"parent": _load(args.parent.resolve(), "ab_parent"),
              "change": _load(args.change.resolve(), "ab_change")}
     groups = {}   # (population, kind) -> its calls, kinds in sorted order
@@ -184,8 +251,8 @@ def main(argv=None) -> int:
     moved = dict.fromkeys(groups, 0)
     nodes = {}   # (population, kind) -> side -> the nodes of its calls
     for key, calls in groups.items():
-        want = _outcomes(sides["parent"], calls)
-        got = _outcomes(sides["change"], calls)
+        want = _outcomes(sides["parent"].solve, calls)
+        got = _outcomes(sides["change"].solve, calls)
         nodes[key] = {"parent": _nodes(want), "change": _nodes(got)}
         differ = []
         for i, (a, b) in enumerate(zip(want, got)):
@@ -203,18 +270,40 @@ def main(argv=None) -> int:
                   f"mask that fails the check; first, call {i}: parent "
                   f"{want[i]!r}, change {got[i]!r}", file=sys.stderr)
             return 1
-    times = {key: {side: [] for side in sides} for key in groups}
+    # (population, kind) -> side -> (function, its argument tuples)
+    runs = {key: {side: (pkg.solve._min_selection, calls)
+                  for side, pkg in sides.items()}
+            for key, calls in groups.items()}
+    small = {side: _small_calls(pkg, texts) for side, pkg in sides.items()}
+    for kind in SMALL_KINDS:
+        out = {}
+        for side in sides:
+            fn, calls, plain = small[side][kind]
+            out[side] = [plain(fn(*call)) for call in calls]
+        differ = [i for i, (a, b) in enumerate(zip(out["parent"], out["change"]))
+                  if a != b]
+        if differ:
+            i = differ[0]
+            print(f"error: {len(differ)} of {len(texts)} {kind} calls differ; "
+                  f"first, on instance {i}: parent {out['parent'][i]!r}, "
+                  f"change {out['change'][i]!r}", file=sys.stderr)
+            return 1
+        runs[SMALL, kind] = {side: small[side][kind][:2] for side in sides}
+    times = {key: {side: [] for side in sides} for key in runs}
     for r in range(ROUNDS):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
         gc.collect()
-        for key, calls in groups.items():
+        for key, per_side in runs.items():
             spent = dict.fromkeys(order, 0.0)
-            for i in range(0, len(calls), CHUNK):
+            for i in range(0, len(per_side["parent"][1]), CHUNK):
                 for side in order:
-                    spent[side] += _run(sides[side], calls[i:i + CHUNK])
+                    fn, calls = per_side[side]
+                    spent[side] += _run(fn, calls[i:i + CHUNK],
+                                        sides[side].solve.InfeasibleError)
             for side in order:
                 times[key][side].append(spent[side])
     print("same size or error text and a valid mask on every call: yes")
+    print("== output of every small call on both sides: yes")
     for population in captured:
         keys = [key for key in groups if key[0] == population]
         total = {side: [sum(times[key][side][r] for key in keys)
@@ -226,6 +315,9 @@ def main(argv=None) -> int:
                  for side in sides}, total)
         for key in keys:
             _report(key[1], groups[key], moved[key], nodes[key], times[key])
+    print(f"{SMALL} on the pool's {len(texts)} instances:")
+    for kind in SMALL_KINDS:
+        _report(kind, texts, None, None, times[SMALL, kind])
     return 0
 
 
