@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hcore import (
-    Hypergraph, bit_indices, class_check, components, delete_vertices, induced,
-    neighborhood_masks, shared_vertices,
+    Hypergraph, _mask, bit_indices, class_check, components, delete_vertices,
+    induced, mask_neighborhoods, shared_vertices,
 )
 from .solve import (
     is_strong_transversal,
@@ -125,88 +125,91 @@ class TrialReport:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
-def _components_with_maps(H: Hypergraph, back: tuple):
+def _components(H: Hypergraph) -> list[Hypergraph]:
+    """H's connected pieces, H itself when connected; a piece split off by
+    induced has H.labels composed through induced's map."""
     blocks = components(H)
     if len(blocks) == 1:
-        # connected: H itself, without the label map that delete_vertices
-        # would compose with back a second time
-        return [(Hypergraph(H.n, H.edges, None, H.had_multi_edge), back)]
+        return [H]
     out = []
     for block in blocks:
         sub, local = induced(H, block)
-        out.append((sub, tuple(back[v] for v in local)))
+        out.append(Hypergraph(sub.n, sub.edges,
+                              tuple(H.labels[v] for v in local),
+                              sub.had_multi_edge))
     return out
 
 
-def _covering_adjacent_pair(H: Hypergraph, nb):
-    """Lowest adjacent pair {x, y} hitting every edge, or None.
+def _covering_adjacent_pair(masks, nb):
+    """Lowest adjacent pair {x, y} hitting every edge mask, or None.
 
-    nb holds H's neighborhood masks.  x walks upward and, for each x, y the
+    nb holds the neighborhood masks.  x walks upward and, for each x, y the
     neighbors above x, which is the lex order of the 2-section's edges; the
     lowest such y lying in every edge that misses x gives the pair.
     """
-    masks = H.edge_masks()
-    for x in range(H.n):
+    for x in range(len(nb)):
         ys = nb[x] >> (x + 1) << (x + 1)
         for mask in masks:
             if not mask >> x & 1:
                 ys &= mask
         if ys:
-            return x, (ys & -ys).bit_length() - 1
+            return x, next(bit_indices(ys))
     return None
 
 
-def _repair_isolated(H: Hypergraph, X: set):
-    """After X leaves, fix each newly isolated edge with one vertex of
-    original degree >= 2 (lowest index); returns all vertices to delete and
-    the repair vertices."""
-    degs = H.degrees()
-    keep = [(e, a) for e, a in zip(H.edges, H.edge_masks())
-            if not X.intersection(e)]
+def _repair_isolated(H: Hypergraph, masks, degs, doomed: int):
+    """After the vertices of mask doomed leave, fix each newly isolated edge
+    with its lowest vertex of degree >= 2 in H (masks and degs are H's);
+    returns the mask of all vertices to delete and the repair vertices."""
+    keep = [(e, a) for e, a in zip(H.edges, masks) if not a & doomed]
     # a kept edge meets no other kept edge exactly when none of its
     # vertices lies in another kept edge
     shared = shared_vertices([a for _, a in keep])
     repaired = []
-    doomed = set(X)
     for e, a in keep:
         if a & shared:
             continue
         repaired.append(next(v for v in e if degs[v] >= 2))
-        doomed.update(e)
+        doomed |= a
     return doomed, repaired
 
 
 def _reduce(H: Hypergraph, rule, guarantee: Fraction) -> ConstructionResult:
     """The reduction scheme behind both size bounds, run per component.
 
-    A component with an adjacent pair hitting every edge takes that pair.
-    Otherwise rule(C, nb), nb being C's neighborhood masks, names its step
-    and the vertices it picks, and says whether they finish C.  If not,
-    they leave with every edge they meet, each edge this isolates is
-    repaired, and the rest splits into its components again.  The trace
-    holds (rule id, picked, repaired) in original indices, and the union is
-    re-checked as a total transversal.
+    A piece C's vertex v is H's vertex C.labels[v]: the run starts from H
+    labelled by the identity, and delete_vertices and _components compose
+    labels.  Each step reads C's edge masks, neighborhood masks and degrees
+    once.  A component with an adjacent pair hitting every edge takes that
+    pair.  Otherwise rule(C, masks, nb, degs) names its step and the
+    vertices it picks, and says whether they finish C.  If not, they leave
+    with every edge they meet, each edge this isolates is repaired, and the
+    rest splits into its components again.  The trace holds (rule id,
+    picked, repaired) in original indices, and the union is re-checked as
+    a total transversal.
     """
     T: list[int] = []
     trace: list[tuple] = []
-    work = _components_with_maps(H, tuple(range(H.n)))
+    work = _components(Hypergraph(H.n, H.edges, tuple(range(H.n))))
     while work:
-        C, back = work.pop()
+        C = work.pop()
         if C.m == 0:
             continue
-        nb = neighborhood_masks(C)
-        pair = _covering_adjacent_pair(C, nb)
-        name, picked, final = ("pair", pair, True) if pair else rule(C, nb)
+        masks, back = C.edge_masks(), C.labels
+        nb = mask_neighborhoods(C.n, masks)
+        degs = C.degrees()
+        pair = _covering_adjacent_pair(masks, nb)
+        name, picked, final = (("pair", pair, True) if pair
+                               else rule(C, masks, nb, degs))
         T += [back[v] for v in picked]
         if final:
             trace.append((name, tuple(sorted(back[v] for v in picked)), ()))
             continue
-        doomed, repaired = _repair_isolated(C, set(picked))
+        doomed, repaired = _repair_isolated(C, masks, degs, _mask(picked))
         T += [back[v] for v in repaired]
         trace.append((name, tuple(back[v] for v in picked),
                       tuple(back[v] for v in repaired)))
-        rest = delete_vertices(C, doomed)
-        work += _components_with_maps(rest, tuple(back[v] for v in rest.labels))
+        work += _components(delete_vertices(C, bit_indices(doomed)))
     witness = tuple(sorted(T))
     if not is_total_transversal(H, witness):
         raise RuntimeError(f"construction produced an invalid set {witness}")
@@ -226,11 +229,10 @@ def tt_2uniform(H: Hypergraph) -> ConstructionResult:
     return _reduce(H, _xy_rule, Fraction(2 * (H.n + H.m), 5))
 
 
-def _xy_rule(C: Hypergraph, nb):
+def _xy_rule(C: Hypergraph, masks, nb, degs):
     """A max-degree x (the lowest on ties) and its lowest neighbor y that is
     still covered once x leaves."""
-    degs = C.degrees()
-    x = max(range(C.n), key=lambda v: (degs[v], -v))
+    x = degs.index(max(degs))
     y = min(v for v in bit_indices(nb[x]) if degs[v] >= 2)
     return "xy", (x, y), False
 
@@ -249,40 +251,33 @@ def tt_kuniform(H: Hypergraph) -> ConstructionResult:
     return _reduce(H, _k_rule, Fraction(H.n + H.m, 3))
 
 
-def _k_rule(C: Hypergraph, nb):
+def _k_rule(C: Hypergraph, masks, nb, degs):
     """The first matching reduction after the covering pair, on connected C
-    with neighborhood masks nb; the terminal dual constructions finish C."""
-    degs = C.degrees()
-    if max(degs) >= 3:
-        x = max(range(C.n), key=lambda v: (degs[v], -v))
-        nx = nb[x]
-        y = min(
-            v for e in C.edges if x not in e for v in e if nx >> v & 1
-        )
-        return "maxdeg", (x, y), False
-    ones = [v for v in range(C.n) if degs[v] == 1]
-    if ones:
-        v1 = ones[0]
-        e1 = next(i for i, e in enumerate(C.edges) if v1 in e)
-        e2 = next(
-            i for i, e in enumerate(C.edges)
-            if i != e1 and set(e) & set(C.edges[e1])
-        )
-        v2 = min(set(C.edges[e1]) & set(C.edges[e2]))
-        union12 = set(C.edges[e1]) | set(C.edges[e2])
-        e3 = next(
-            i for i, e in enumerate(C.edges)
-            if i not in (e1, e2) and set(e) & union12
-        )
-        v3 = min(set(C.edges[e3]) & union12)
-        return "deg1", (v2, v3), False
-    masks = C.edge_masks()
-    for i in range(C.m):
-        for j in range(i + 1, C.m):
-            if (masks[i] & masks[j]).bit_count() >= 2:
-                u = min(set(C.edges[i]) & set(C.edges[j]))
-                v = min(set(C.edges[i]) - set(C.edges[j]))
-                return "overlap", (u, v), False
+    with its edge masks, neighborhood masks and degrees; the terminal dual
+    constructions finish C.  C has no repeated edge, so an edge is told
+    from another by its mask."""
+    top = max(degs)
+    if top >= 3:
+        x = degs.index(top)
+        # the lowest neighbor of x in an edge that misses x
+        near = 0
+        for a in masks:
+            if not a >> x & 1:
+                near |= a
+        return "maxdeg", (x, next(bit_indices(near & nb[x]))), False
+    if 1 in degs:
+        v1 = degs.index(1)
+        a1 = next(a for a in masks if a >> v1 & 1)
+        a2 = next(a for a in masks if a != a1 and a & a1)
+        union12 = a1 | a2
+        a3 = next(a for a in masks if a != a1 and a != a2 and a & union12)
+        return ("deg1", (next(bit_indices(a1 & a2)),
+                         next(bit_indices(a3 & union12))), False)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if (a & b).bit_count() >= 2:
+                return ("overlap", (next(bit_indices(a & b)),
+                                    next(bit_indices(a & ~b))), False)
     # terminal: 2-regular and linear; go through the dual graph
     G = dual(C)
     if len(C.edges[0]) >= 4:

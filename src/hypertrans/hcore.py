@@ -123,6 +123,7 @@ class ClassCheck:
     is_linear: bool
     min_degree: int
     max_degree: int
+    n1: int                     # number of degree-1 vertices
 
     def is_r_regular(self, r: int) -> bool:
         return self.min_degree == self.max_degree == r
@@ -160,6 +161,7 @@ def class_check(H: Hypergraph) -> ClassCheck:
         is_linear=linear,
         min_degree=dp.delta,
         max_degree=dp.Delta,
+        n1=dp.n1,
     )
 
 
@@ -252,23 +254,20 @@ def components(H: Hypergraph) -> list[list[int]]:
 def delete_vertices(H: Hypergraph, X) -> Hypergraph:
     """Remove X, every edge meeting X, and any vertex left uncovered.
 
-    Survivors are re-indexed densely; the result's label map traces each new
-    index back through H.labels to the original construction.
+    The edges that miss X are exactly the edges inside the vertices they
+    cover (an edge meeting X keeps its vertex of X outside them), so the
+    result is H induced on those vertices, re-indexed densely.  Labels
+    compose: where the result's v re-indexes H's w, its label is
+    H.labels[w], or w when H has no labels.
     """
     xs = set(X)
     for v in xs:
         if not 0 <= v < H.n:
             raise ValueError(f"vertex {v} not in hypergraph")
-    kept = [e for e in H.edges if not xs.intersection(e)]
-    covered = sorted({v for e in kept for v in e})
-    index = {v: i for i, v in enumerate(covered)}
-    old_labels = H.labels if H.labels is not None else tuple(range(H.n))
-    return Hypergraph(
-        n=len(covered),
-        edges=tuple(sorted(tuple(index[v] for v in e) for e in kept)),
-        labels=tuple(old_labels[v] for v in covered),
-        had_multi_edge=H.had_multi_edge,
-    )
+    sub, back = induced(H, {v for e in H.edges if xs.isdisjoint(e) for v in e})
+    if H.labels is not None:
+        back = [H.labels[v] for v in back]
+    return Hypergraph(sub.n, sub.edges, tuple(back), H.had_multi_edge)
 
 
 def induced(H: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
@@ -325,19 +324,18 @@ def class_floor_check(H: Hypergraph) -> list[BoundRow]:
     cc = class_check(H)
     if not cc.in_Hk:
         raise ValueError("hypergraph is not an H_k member")
-    return _floor_rows(cc, degree_profile(H), H.n, H.m)
+    return _floor_rows(cc, H.n, H.m)
 
 
-def _floor_rows(cc: ClassCheck, dp: DegreeProfile, n: int, m: int):
-    """class_floor_check's rows from a class check and a degree profile
-    already in hand."""
+def _floor_rows(cc: ClassCheck, n: int, m: int):
+    """class_floor_check's rows from a class check already in hand."""
     k = cc.k
     two = Fraction(2)
     return [
         BoundRow("O2_n", Fraction(k + 1), Fraction(n)),
         BoundRow("O2_m", two, Fraction(m)),
-        BoundRow("O2_maxdeg", two, Fraction(dp.Delta)),
-        BoundRow("O2_n1", Fraction(2 * k), Fraction(2 * n - dp.n1)),
+        BoundRow("O2_maxdeg", two, Fraction(cc.max_degree)),
+        BoundRow("O2_n1", Fraction(2 * k), Fraction(2 * n - cc.n1)),
     ]
 
 

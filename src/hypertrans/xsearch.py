@@ -27,8 +27,8 @@ from .hcore import (
     Hypergraph,
     _floor_rows,
     class_check,
-    degree_profile,
     hypergraph,
+    induced,
     shared_vertices,
 )
 from .solve import solve, tau_t
@@ -231,14 +231,28 @@ def random_hypergraph(
         return hypergraph(n, draw())
     for _ in range(_TRIES):
         edges = draw()
-        covered = sorted({v for e in edges for v in e})
-        idx = {v: i for i, v in enumerate(covered)}
-        H = hypergraph(len(covered), [[idx[v] for v in e] for e in edges])
+        H, _ = induced(Hypergraph(n, tuple(edges)),
+                       {v for e in edges for v in e})
         if class_check(H).in_Hk:
             return H
     raise RuntimeError(
         f"no in-class instance after {_TRIES} draws (k={k}, n={n}, m={m})"
     )
+
+
+def _best_ratio(draws):
+    """(best ratio, its witness, its tag, draws seen) over (H, tag) draws,
+    the ratio being tau_t(H) / (n + m); strict improvement keeps the
+    earliest witness.  The first three are None when there are no draws."""
+    best: Fraction | None = None
+    witness = tag = None
+    tested = 0
+    for H, kind in draws:
+        tested += 1
+        ratio = Fraction(tau_t(H).value, H.n + H.m)
+        if best is None or ratio > best:
+            best, witness, tag = ratio, H, kind
+    return best, witness, tag, tested
 
 
 @dataclass(frozen=True)
@@ -283,14 +297,8 @@ def estimate_bk(
             yield random_hypergraph(k, n, m, split_seed(seed, i),
                                     require_class=True), "random"
 
-    best: Fraction | None = None
-    witness = mode = None
-    tested = 0
-    for H, kind in itertools.islice(draws(), max(budget, 0)):
-        tested += 1
-        ratio = Fraction(tau_t(H).value, H.n + H.m)
-        if best is None or ratio > best:
-            best, witness, mode = ratio, H, kind
+    best, witness, mode, tested = _best_ratio(
+        itertools.islice(draws(), max(budget, 0)))
     if witness is None:
         raise ValueError("budget admitted no instances")
     check = Fraction(tau_t(witness).value, witness.n + witness.m)
@@ -324,14 +332,9 @@ class BoundReport:
 
 # best known constants for the supremum ratio at each uniformity:
 # exact at 2 and 3, proven upper bounds beyond
-def _b_value(k: int) -> tuple[Fraction, str]:
-    if k == 2:
-        return Fraction(2, 5), "exact"
-    if k == 3:
-        return Fraction(1, 3), "exact"
-    if k == 4:
-        return Fraction(1, 3), "bound-based"
-    return Fraction(2, 7), "bound-based"
+_B_VALUES = {2: (Fraction(2, 5), "exact"), 3: (Fraction(1, 3), "exact"),
+             4: (Fraction(1, 3), "bound-based")}
+_B_REST = (Fraction(2, 7), "bound-based")
 
 
 def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
@@ -342,7 +345,6 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
 
         instance_id = hashlib.sha256(H.to_text().encode()).hexdigest()[:12]
     cc = class_check(H)
-    dp = degree_profile(H)
     cache: dict[str, Fraction] = {}
 
     def val(name) -> Fraction:
@@ -351,60 +353,42 @@ def verify_bounds(H: Hypergraph, instance_id: str | None = None) -> BoundReport:
         return cache[name]
 
     n, m, k = H.n, H.m, cc.k
+    sound, star = cc.in_Hk, cc.in_Hk_star
+    b, b_basis = _B_VALUES.get(k - 1, _B_REST)
+    # (theorem, precondition, reason when it fails, lhs factor, lhs
+    # invariant, rhs built only when the precondition holds, basis)
+    table = (
+        ("T_b2", sound and k == 2, "requires a sound 2-uniform instance",
+         1, "tau_t", lambda: Fraction(2 * (n + m), 5), "exact"),
+        ("T_k3", sound and k >= 3, "requires a sound instance with k >= 3",
+         1, "tau_t", lambda: Fraction(n + m, 3), "exact"),
+        ("T_k4", sound and k >= 4, "requires a sound instance with k >= 4",
+         6, "tau_t", lambda: Fraction(2 * n + 2 * m - cc.n1), "exact"),
+        ("T_k5", sound and k >= 5, "requires a sound instance with k >= 5",
+         7, "tau_t", lambda: Fraction(2 * n + 2 * m - cc.n1), "exact"),
+        ("T_main2", sound and 2 <= k <= 6,
+         "requires a sound instance with k in 2..6",
+         1, "gamma_t", lambda: Fraction(2 * n, k + 1), "exact"),
+        ("T_main3", star and k >= 4,
+         "requires a star-class instance with k >= 4",
+         1, "gamma_t", lambda: Fraction(n, 3), "exact"),
+        ("T_main1A", sound and k >= 3, "requires a sound instance with k >= 3",
+         1, "gamma_t", lambda: max(Fraction(2, k + 1), b) * n, b_basis),
+        ("T_main1B", star and k >= 4,
+         "requires a star-class instance with k >= 4",
+         1, "gamma_t", lambda: max(Fraction(2, k + 2), b) * n, b_basis),
+    )
     rows: list[BoundRow] = []
     skipped: list[tuple[str, str]] = []
-
-    def solver_row(theorem, lhs, rhs, basis="exact"):
-        rows.append(BoundRow(theorem, lhs, rhs, basis=basis,
+    for theorem, holds, reason, factor, name, rhs, basis in table:
+        if not holds:
+            skipped.append((theorem, reason))
+            continue
+        lhs = val(name) if factor == 1 else factor * val(name)
+        rows.append(BoundRow(theorem, lhs, rhs(), basis=basis,
                              lhs_provenance="solver"))
-
-    if cc.in_Hk and k == 2:
-        solver_row("T_b2", val("tau_t"), Fraction(2 * (n + m), 5))
-    else:
-        skipped.append(("T_b2", "requires a sound 2-uniform instance"))
-    if cc.in_Hk and k >= 3:
-        solver_row("T_k3", val("tau_t"), Fraction(n + m, 3))
-    else:
-        skipped.append(("T_k3", "requires a sound instance with k >= 3"))
-    theta = Fraction(2 * n + 2 * m - dp.n1)
-    if cc.in_Hk and k >= 4:
-        solver_row("T_k4", 6 * val("tau_t"), theta)
-    else:
-        skipped.append(("T_k4", "requires a sound instance with k >= 4"))
-    if cc.in_Hk and k >= 5:
-        solver_row("T_k5", 7 * val("tau_t"), theta)
-    else:
-        skipped.append(("T_k5", "requires a sound instance with k >= 5"))
-    if cc.in_Hk and 2 <= k <= 6:
-        solver_row("T_main2", val("gamma_t"), Fraction(2 * n, k + 1))
-    else:
-        skipped.append(("T_main2", "requires a sound instance with k in 2..6"))
-    if cc.in_Hk_star and k >= 4:
-        solver_row("T_main3", val("gamma_t"), Fraction(n, 3))
-    else:
-        skipped.append(("T_main3", "requires a star-class instance with k >= 4"))
-    if cc.in_Hk and k >= 3:
-        b, basis = _b_value(k - 1)
-        solver_row(
-            "T_main1A",
-            val("gamma_t"),
-            max(Fraction(2, k + 1), b) * n,
-            basis=basis,
-        )
-    else:
-        skipped.append(("T_main1A", "requires a sound instance with k >= 3"))
-    if cc.in_Hk_star and k >= 4:
-        b, basis = _b_value(k - 1)
-        solver_row(
-            "T_main1B",
-            val("gamma_t"),
-            max(Fraction(2, k + 2), b) * n,
-            basis=basis,
-        )
-    else:
-        skipped.append(("T_main1B", "requires a star-class instance with k >= 4"))
-    if cc.in_Hk:
-        rows.extend(_floor_rows(cc, dp, n, m))
+    if sound:
+        rows.extend(_floor_rows(cc, n, m))
     else:
         skipped.append(("O2", "requires a sound uniform instance"))
     rows.append(BoundRow("chain_tau", val("tau"), val("tau_t"),
@@ -451,21 +435,13 @@ def asymptotic_sweep(k_list, c: float, trials: int, seed: int,
             H, c, trials, split_seed(seed, 2 * pos + 1), jobs=jobs
         )
         nm = H.n + H.m
-        best = None
-        best_shape = None
         shapes = [(k + 1, 2), (k + 1, 4), (k + 2, 6), (k + 4, 8)]
         rng_base = split_seed(seed, 1000 + pos)
-        for si, (n, m) in enumerate(shapes):
-            if m > math.comb(n, k):
-                continue
-            for j in range(4):
-                Hs = random_hypergraph(
-                    k, n, m, split_seed(rng_base, si * 16 + j),
-                    require_class=True,
-                )
-                ratio = Fraction(tau_t(Hs).value, Hs.n + Hs.m)
-                if best is None or ratio > best:
-                    best, best_shape = ratio, (Hs.n, Hs.m)
+        best, witness, _, _ = _best_ratio(
+            (random_hypergraph(k, n, m, split_seed(rng_base, si * 16 + j),
+                               require_class=True), None)
+            for si, (n, m) in enumerate(shapes) if m <= math.comb(n, k)
+            for j in range(4))
         out.append(
             SweepRow(
                 k=k,
@@ -476,7 +452,7 @@ def asymptotic_sweep(k_list, c: float, trials: int, seed: int,
                 mc_mean_per_nm=rep.mean_size / nm,
                 mc_valid=rep.all_valid,
                 best_ratio=best,
-                best_shape=best_shape,
+                best_shape=(witness.n, witness.m),
             )
         )
     return out

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -12,10 +13,13 @@ from hypertrans.construct import (
     ConstructionResult,
     SplitMix64,
     _draw_threshold,
+    _k_rule,
     _repair_isolated,
+    _spanning_tree_labels,
     _strong_kernel,
     _strong_params,
     _trial_rows,
+    _xy_rule,
     p3_packing,
     randomized_strong_transversal,
     split_seed,
@@ -33,7 +37,7 @@ from hypertrans.solve import (
     is_total_transversal,
     tau_t,
 )
-from hypertrans.xform import graph
+from hypertrans.xform import dual, graph
 from hypertrans.xsearch import random_hypergraph
 
 
@@ -87,6 +91,20 @@ def _repair_pairwise(H, X):
     return doomed, repaired
 
 
+def _repair_on_sets(H, X):
+    """_repair_isolated called as _repair_pairwise is: a vertex set in, the
+    doomed vertices out as a set."""
+    doomed, repaired = _repair_isolated(H, H.edge_masks(), H.degrees(),
+                                        sum(1 << v for v in X))
+    return set(bit_indices(doomed)), repaired
+
+
+def _repair_pairwise_on_masks(H, masks, degs, doomed):
+    """_repair_pairwise behind _repair_isolated's signature."""
+    done, repaired = _repair_pairwise(H, set(bit_indices(doomed)))
+    return sum(1 << v for v in done), repaired
+
+
 def test_repair_by_kept_degree_matches_pairwise_rule(monkeypatch):
     rng = SplitMix64(4242)
     instances = []
@@ -101,10 +119,11 @@ def test_repair_by_kept_degree_matches_pairwise_rule(monkeypatch):
     for H in instances:
         for _ in range(3):
             X = set(rng.sample(H.n, 1 + rng.randrange(3)))
-            assert _repair_isolated(H, X) == _repair_pairwise(H, X)
+            assert _repair_on_sets(H, X) == _repair_pairwise(H, X)
     fast = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
             for H in instances]
-    monkeypatch.setattr(construct, "_repair_isolated", _repair_pairwise)
+    monkeypatch.setattr(construct, "_repair_isolated",
+                        _repair_pairwise_on_masks)
     slow = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
             for H in instances]
     assert [(r.set, r.trace) for r in fast] == [(r.set, r.trace) for r in slow]
@@ -144,8 +163,8 @@ def test_tt2_differential_random():
 
 
 def _components_by_induced(H, back):
-    """_components_with_maps with no shortcut for a connected input: every
-    block goes through induced, which leaves no label map."""
+    """The component split with no shortcut for a connected input: every
+    block goes through induced, its map composed with back."""
     out = []
     for block in components(H):
         sub, local = induced(H, block)
@@ -153,25 +172,148 @@ def _components_by_induced(H, back):
     return out
 
 
+def _split_by_induced(H):
+    """_components_by_induced behind _components's signature: each piece
+    carries its composed map as its labels."""
+    return [Hypergraph(sub.n, sub.edges, back, sub.had_multi_edge)
+            for sub, back in _components_by_induced(H, H.labels)]
+
+
 def test_tt_connected_rest_keeps_set_and_trace(monkeypatch):
-    """A connected component is reused as is, without its label map; were
-    the map kept, the next deletion would compose it with back again.  On
-    instances whose reduction takes two or more steps before its last, the
-    set and trace must match the path through induced."""
+    """A connected component is reused as is, labels and all.  On instances
+    whose reduction takes two or more steps before its last, the set and
+    trace must match the path that sends every piece through induced."""
     rng = random.Random(2211)
     draws = [(tt_2uniform, _rand_connected_graph_hg(rng, rng.randint(6, 14)))
              for _ in range(150)]
     draws += [(tt_kuniform, _rand_hk(rng, 3 + i % 2, rng.randint(7, 12), 6))
               for i in range(150)]
     got = [(f, H, f(H)) for f, H in draws]
-    monkeypatch.setattr(construct, "_components_with_maps",
-                        _components_by_induced)
+    monkeypatch.setattr(construct, "_components", _split_by_induced)
     deep = 0
     for f, H, r in got:
         want = f(H)
         assert (r.set, r.trace) == (want.set, want.trace)
         deep += sum(step[0] != "pair" for step in r.trace[:-1]) >= 2
     assert deep >= 10
+
+
+def _xy_rule_on_sets(C, nb):
+    """_xy_rule as first written, from C's edge tuples."""
+    degs = C.degrees()
+    x = max(range(C.n), key=lambda v: (degs[v], -v))
+    y = min(v for v in bit_indices(nb[x]) if degs[v] >= 2)
+    return "xy", (x, y), False
+
+
+def _k_rule_on_sets(C, nb):
+    """_k_rule as first written: edges told apart by index, and every
+    intersection taken on sets of their tuples."""
+    degs = C.degrees()
+    if max(degs) >= 3:
+        x = max(range(C.n), key=lambda v: (degs[v], -v))
+        nx = nb[x]
+        y = min(
+            v for e in C.edges if x not in e for v in e if nx >> v & 1
+        )
+        return "maxdeg", (x, y), False
+    ones = [v for v in range(C.n) if degs[v] == 1]
+    if ones:
+        v1 = ones[0]
+        e1 = next(i for i, e in enumerate(C.edges) if v1 in e)
+        e2 = next(
+            i for i, e in enumerate(C.edges)
+            if i != e1 and set(e) & set(C.edges[e1])
+        )
+        v2 = min(set(C.edges[e1]) & set(C.edges[e2]))
+        union12 = set(C.edges[e1]) | set(C.edges[e2])
+        e3 = next(
+            i for i, e in enumerate(C.edges)
+            if i not in (e1, e2) and set(e) & union12
+        )
+        v3 = min(set(C.edges[e3]) & union12)
+        return "deg1", (v2, v3), False
+    for i in range(C.m):
+        for j in range(i + 1, C.m):
+            if len(set(C.edges[i]) & set(C.edges[j])) >= 2:
+                u = min(set(C.edges[i]) & set(C.edges[j]))
+                v = min(set(C.edges[i]) - set(C.edges[j]))
+                return "overlap", (u, v), False
+    G = dual(C)
+    if len(C.edges[0]) >= 4:
+        return "tree", _spanning_tree_labels(G), True
+    lookup = {e: lab for e, lab in zip(G.edges, G.edge_labels)}
+    return "forest", [lookup[e] for e in total_edge_cover_forest(G).set], True
+
+
+def _degree_two_draw(rng, k, m, ones, linear):
+    """A sound k-uniform instance with m edges in which `ones` vertices lie
+    in one edge and the rest in two, linear when asked; None if 500
+    shuffles of the vertex slots give none."""
+    n2 = (k * m - ones) // 2
+    slots = [v for v in range(n2) for _ in (0, 1)]
+    slots += range(n2, n2 + ones)
+    for _ in range(500):
+        rng.shuffle(slots)
+        edges = [slots[i * k:(i + 1) * k] for i in range(m)]
+        if any(len(set(e)) < k for e in edges):
+            continue
+        H = hypergraph(n2 + ones, edges)
+        cc = class_check(H)
+        if cc.in_Hk and (cc.is_linear or not linear):
+            return H
+    return None
+
+
+def test_tt_rules_match_set_definitions(monkeypatch):
+    """Every step of both reductions picks what the tuple-and-set rules
+    pick, and with those rules in place the set and trace are unchanged.
+    Random draws reach the pair, xy and maxdeg steps; instances whose
+    vertices lie in at most two edges reach deg1, overlap, and the tree
+    and forest ends."""
+    rng = random.Random(2323)
+    draws = []
+    for i in range(200):
+        k = 2 + i % 4
+        n = k + 2 + rng.randrange(10)
+        m = 2 + rng.randrange(n)
+        if m <= math.comb(n, k):
+            draws.append(random_hypergraph(k, n, m, rng.getrandbits(64),
+                                           require_class=True))
+    for i in range(240):
+        k = 3 + i % 3
+        linear = i % 2 == 0
+        ones = 0 if linear else rng.choice([0, 1, 2, k])
+        m = rng.randint(4 if linear else 3, 8)
+        H = _degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
+        if H is not None:
+            draws.append(H)
+    fired = collections.Counter()
+
+    def checked(rule, reference):
+        def step(C, masks, nb, degs):
+            got = rule(C, masks, nb, degs)
+            assert got == reference(C, nb)
+            fired[got[0]] += 1
+            return got
+        return step
+
+    monkeypatch.setattr(construct, "_xy_rule",
+                        checked(_xy_rule, _xy_rule_on_sets))
+    monkeypatch.setattr(construct, "_k_rule",
+                        checked(_k_rule, _k_rule_on_sets))
+    got = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
+           for H in draws]
+    fired["pair"] = sum(step[0] == "pair" for r in got for step in r.trace)
+    monkeypatch.setattr(construct, "_xy_rule",
+                        lambda C, masks, nb, degs: _xy_rule_on_sets(C, nb))
+    monkeypatch.setattr(construct, "_k_rule",
+                        lambda C, masks, nb, degs: _k_rule_on_sets(C, nb))
+    want = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
+            for H in draws]
+    assert [(r.set, r.trace) for r in got] == [(r.set, r.trace) for r in want]
+    names = ("pair", "xy", "maxdeg", "deg1", "overlap", "tree", "forest")
+    assert min(fired[name] for name in names) >= 10, fired
 
 
 def test_ttk_pair_rule():

@@ -145,7 +145,8 @@ def test_constructors_match_definitions():
             assert onh(H) == hypergraph(H.n, nbhd, allow_singletons=True)
         first = next((p for p in pairs
                       if all(p[0] in e or p[1] in e for e in H.edges)), None)
-        assert _covering_adjacent_pair(H, neighborhood_masks(H)) == first
+        assert _covering_adjacent_pair(H.edge_masks(),
+                                       neighborhood_masks(H)) == first
     for G in _graphs(rng):
         assert G.to_hypergraph() == hypergraph(G.n, G.edges)
 

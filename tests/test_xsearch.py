@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hypertrans import xsearch
-from hypertrans.hcore import Hypergraph, class_check, hypergraph
+from hypertrans.hcore import Hypergraph, class_check, degree_profile, hypergraph
 from hypertrans.solve import tau_t
 from hypertrans.xform import family_Fk, onh
 from hypertrans.xsearch import (
@@ -415,6 +415,99 @@ def test_verify_bounds_random_class_members():
                               rng.getrandbits(64), require_class=True)
         rep = verify_bounds(H)
         assert rep.all_hold, (H.edges, [r.as_dict() for r in rep.rows])
+
+
+_REASONS = {
+    "T_b2": "requires a sound 2-uniform instance",
+    "T_k3": "requires a sound instance with k >= 3",
+    "T_k4": "requires a sound instance with k >= 4",
+    "T_k5": "requires a sound instance with k >= 5",
+    "T_main2": "requires a sound instance with k in 2..6",
+    "T_main3": "requires a star-class instance with k >= 4",
+    "T_main1A": "requires a sound instance with k >= 3",
+    "T_main1B": "requires a star-class instance with k >= 4",
+    "O2": "requires a sound uniform instance",
+}
+_FLOOR = [(t, "exact", "formula", "formula")
+          for t in ("O2_n", "O2_m", "O2_maxdeg", "O2_n1")]
+_CHAIN = [("chain_tau", "exact", "solver", "solver"),
+          ("chain_strong", "exact", "solver", "solver")]
+
+
+def _near_pair(k):
+    """Two k-edges sharing k - 1 vertices: sound, and for k >= 3 outside
+    the star class."""
+    return hypergraph(k + 1, [range(k), range(1, k + 1)])
+
+
+# (instance, in_Hk, in_Hk_star, the theorem rows as (theorem, basis), the
+# skipped theorems); T_main1A's and T_main1B's basis is that of the best
+# constant at k - 1, exact for k - 1 in {2, 3} and bound-based beyond
+_ROW_CASES = [
+    (_near_pair(2), True, False,
+     [("T_b2", "exact"), ("T_main2", "exact")],
+     ["T_k3", "T_k4", "T_k5", "T_main3", "T_main1A", "T_main1B"]),
+    (_near_pair(3), True, False,
+     [("T_k3", "exact"), ("T_main2", "exact"), ("T_main1A", "exact")],
+     ["T_b2", "T_k4", "T_k5", "T_main3", "T_main1B"]),
+    (_near_pair(4), True, False,
+     [("T_k3", "exact"), ("T_k4", "exact"), ("T_main2", "exact"),
+      ("T_main1A", "exact")],
+     ["T_b2", "T_k5", "T_main3", "T_main1B"]),
+    (_near_pair(5), True, False,
+     [("T_k3", "exact"), ("T_k4", "exact"), ("T_k5", "exact"),
+      ("T_main2", "exact"), ("T_main1A", "bound-based")],
+     ["T_b2", "T_main3", "T_main1B"]),
+    (_near_pair(6), True, False,
+     [("T_k3", "exact"), ("T_k4", "exact"), ("T_k5", "exact"),
+      ("T_main2", "exact"), ("T_main1A", "bound-based")],
+     ["T_b2", "T_main3", "T_main1B"]),
+    (_near_pair(7), True, False,
+     [("T_k3", "exact"), ("T_k4", "exact"), ("T_k5", "exact"),
+      ("T_main1A", "bound-based")],
+     ["T_b2", "T_main2", "T_main3", "T_main1B"]),
+    (hypergraph(6, [[0, 1, 2, 3], [2, 3, 4, 5]]), True, True,
+     [("T_k3", "exact"), ("T_k4", "exact"), ("T_main2", "exact"),
+      ("T_main3", "exact"), ("T_main1A", "exact"), ("T_main1B", "exact")],
+     ["T_b2", "T_k5"]),
+    (hypergraph(7, [[0, 1, 2, 3, 4], [2, 3, 4, 5, 6]]), True, True,
+     [("T_k3", "exact"), ("T_k4", "exact"), ("T_k5", "exact"),
+      ("T_main2", "exact"), ("T_main3", "exact"),
+      ("T_main1A", "bound-based"), ("T_main1B", "bound-based")],
+     ["T_b2"]),
+    # an isolated edge {3, 4} puts this graph out of the class
+    (hypergraph(5, [[0, 1], [1, 2], [3, 4]]), False, False, [],
+     ["T_b2", "T_k3", "T_k4", "T_k5", "T_main2", "T_main3", "T_main1A",
+      "T_main1B", "O2"]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ROW_CASES)))
+def test_verify_bounds_rows_follow_preconditions(case):
+    """The rows, in order, with their basis and provenance, and the skipped
+    theorems with their reasons, for sound instances at k = 2..7, star-class
+    ones at k = 4 and 5, and one outside the class."""
+    H, sound, star, theorem_rows, skipped = _ROW_CASES[case]
+    cc = class_check(H)
+    assert (cc.in_Hk, cc.in_Hk_star) == (sound, star)
+    rep = verify_bounds(H)
+    want = [(t, basis, "solver", "formula") for t, basis in theorem_rows]
+    want += (_FLOOR if sound else []) + _CHAIN
+    assert [(r.theorem, r.basis, r.lhs_provenance, r.rhs_provenance)
+            for r in rep.rows] == want
+    assert list(rep.skipped) == [(t, _REASONS[t]) for t in skipped]
+
+
+def test_class_check_n1_matches_degree_profile():
+    rng = random.Random(2324)
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        n = rng.randint(k, 12)
+        m = rng.randint(1, min(math.comb(n, k), 3 * n))
+        sound = m >= 2 and n > k and rng.random() < 0.5
+        H = random_hypergraph(k, n, m, rng.getrandbits(64),
+                              require_class=sound)
+        assert class_check(H).n1 == degree_profile(H).n1
 
 
 # ------------------------------------------------------------------- sweep

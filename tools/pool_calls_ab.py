@@ -32,6 +32,8 @@ A third population, small calls, runs the package's public calls on the
 pool's instances (the `hg` texts of pool-enumerate's set-up at SEED, each
 parsed by each side): `tt_2uniform` or `tt_kuniform` by the instance's k,
 `onh`, `two_section`, `to_hypergraph` on that side's 2-section,
+`class_floor_check`, `random_hypergraph(k, n, m, i, require_class=True)`
+with the instance's k, n and m and its position i as the seed,
 `verify_bounds`, and `verify_bounds` again with its module's `solve`
 answered from a table of that side's own results, which times the report
 outside its four solves.  Every call must give `==` output on both sides,
@@ -58,7 +60,8 @@ ROUNDS = 20
 CHUNK = 500
 POPULATIONS = ("exact-solve", "pool-enumerate")
 SMALL = "small calls"
-SMALL_KINDS = ("tt", "onh", "two_section", "to_hypergraph", "verify_bounds",
+SMALL_KINDS = ("tt", "onh", "two_section", "to_hypergraph",
+               "class_floor_check", "random_hypergraph", "verify_bounds",
                "verify_bounds outside its solves")
 
 
@@ -166,6 +169,11 @@ def _small_calls(pkg, texts) -> dict[str, tuple]:
                         lambda G: (G.n, G.edges, G.edge_labels)),
         "to_hypergraph": (pkg.xform.Graph.to_hypergraph,
                           [(G,) for G in graphs], hg),
+        "class_floor_check": (pkg.hcore.class_floor_check, each,
+                              lambda rows: [r.as_dict() for r in rows]),
+        "random_hypergraph": (xsearch.random_hypergraph,
+                              [(len(H.edges[0]), H.n, H.m, i, True)
+                               for i, H in enumerate(hs)], hg),
         "verify_bounds": (xsearch.verify_bounds, each, lambda r: r.as_dict()),
         "verify_bounds outside its solves": (tabled, each,
                                              lambda r: r.as_dict()),
