@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hcore import (
-    Hypergraph, _mask, bit_indices, class_check, components, delete_vertices,
+    Hypergraph, _mask, bit_indices, class_check, components, edge_components,
     induced, mask_neighborhoods, shared_vertices,
 )
 from .solve import (
@@ -125,29 +125,19 @@ class TrialReport:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
-def _components(H: Hypergraph) -> list[Hypergraph]:
-    """H's connected pieces, H itself when connected; a piece split off by
-    induced has H.labels composed through induced's map."""
-    blocks = components(H)
-    if len(blocks) == 1:
-        return [H]
-    out = []
-    for block in blocks:
-        sub, local = induced(H, block)
-        out.append(Hypergraph(sub.n, sub.edges,
-                              tuple(H.labels[v] for v in local),
-                              sub.had_multi_edge))
-    return out
-
-
-def _covering_adjacent_pair(masks, nb):
+def _covering_adjacent_pair(masks, nb, degs):
     """Lowest adjacent pair {x, y} hitting every edge mask, or None.
 
-    nb holds the neighborhood masks.  x walks upward and, for each x, y the
-    neighbors above x, which is the lex order of the 2-section's edges; the
-    lowest such y lying in every edge that misses x gives the pair.
+    nb holds the neighborhood masks, and degs maps each vertex, ascending,
+    to its degree.  x walks upward and, for each x, y the neighbors above
+    x, in the lex order of the 2-section's edges; the lowest such y lying
+    in every edge that misses x gives the pair.  Such a pair shares an
+    edge too, so d(x) + d(y) > m: x with d(x) + max degree <= m is skipped.
     """
-    for x in range(len(nb)):
+    need = len(masks) + 1 - max(degs.values())
+    for x, d in degs.items():
+        if d < need:
+            continue
         ys = nb[x] >> (x + 1) << (x + 1)
         for mask in masks:
             if not mask >> x & 1:
@@ -175,41 +165,41 @@ def _repair_isolated(H: Hypergraph, masks, degs, doomed: int):
 
 
 def _reduce(H: Hypergraph, rule, guarantee: Fraction) -> ConstructionResult:
-    """The reduction scheme behind both size bounds, run per component.
+    """The reduction scheme behind both size bounds, run per connected piece.
 
-    A piece C's vertex v is H's vertex C.labels[v]: the run starts from H
-    labelled by the identity, and delete_vertices and _components compose
-    labels.  Each step reads C's edge masks, neighborhood masks and degrees
-    once.  A component with an adjacent pair hitting every edge takes that
-    pair.  Otherwise rule(C, masks, nb, degs) names its step and the
-    vertices it picks, and says whether they finish C.  If not, they leave
-    with every edge they meet, each edge this isolates is repaired, and the
-    rest splits into its components again.  The trace holds (rule id,
-    picked, repaired) in original indices, and the union is re-checked as
-    a total transversal.
+    A piece C holds H's own edges, in H's order and on H's vertex indices,
+    so no step re-indexes.  Each step reads C's edge masks, neighborhood
+    masks and degrees (a dict over C's vertices, ascending) once.  A piece
+    with an adjacent pair hitting every edge takes that pair.  Otherwise
+    rule(C, masks, nb, degs) names its step and the vertices it picks, and
+    says whether they finish C.  If not, they leave with every edge they
+    meet, each edge this isolates is repaired, and the edges left split
+    into their pieces again.  The trace holds (rule id, picked, repaired),
+    and the union is re-checked as a total transversal.
     """
     T: list[int] = []
     trace: list[tuple] = []
-    work = _components(Hypergraph(H.n, H.edges, tuple(range(H.n))))
+    work = edge_components(H.edges)
     while work:
-        C = work.pop()
-        if C.m == 0:
-            continue
-        masks, back = C.edge_masks(), C.labels
-        nb = mask_neighborhoods(C.n, masks)
-        degs = C.degrees()
-        pair = _covering_adjacent_pair(masks, nb)
+        C = Hypergraph(H.n, work.pop())
+        masks = C.edge_masks()
+        nb = mask_neighborhoods(H.n, masks)
+        degs = dict.fromkeys(sorted({v for e in C.edges for v in e}), 0)
+        for e in C.edges:
+            for v in e:
+                degs[v] += 1
+        pair = _covering_adjacent_pair(masks, nb, degs)
         name, picked, final = (("pair", pair, True) if pair
                                else rule(C, masks, nb, degs))
-        T += [back[v] for v in picked]
+        T += picked
         if final:
-            trace.append((name, tuple(sorted(back[v] for v in picked)), ()))
+            trace.append((name, tuple(sorted(picked)), ()))
             continue
         doomed, repaired = _repair_isolated(C, masks, degs, _mask(picked))
-        T += [back[v] for v in repaired]
-        trace.append((name, tuple(back[v] for v in picked),
-                      tuple(back[v] for v in repaired)))
-        work += _components(delete_vertices(C, bit_indices(doomed)))
+        T += repaired
+        trace.append((name, tuple(picked), tuple(repaired)))
+        work += edge_components([e for e, a in zip(C.edges, masks)
+                                 if not a & doomed])
     witness = tuple(sorted(T))
     if not is_total_transversal(H, witness):
         raise RuntimeError(f"construction produced an invalid set {witness}")
@@ -232,7 +222,7 @@ def tt_2uniform(H: Hypergraph) -> ConstructionResult:
 def _xy_rule(C: Hypergraph, masks, nb, degs):
     """A max-degree x (the lowest on ties) and its lowest neighbor y that is
     still covered once x leaves."""
-    x = degs.index(max(degs))
+    x = max(degs, key=degs.get)     # the first maximum: the lowest
     y = min(v for v in bit_indices(nb[x]) if degs[v] >= 2)
     return "xy", (x, y), False
 
@@ -252,21 +242,20 @@ def tt_kuniform(H: Hypergraph) -> ConstructionResult:
 
 
 def _k_rule(C: Hypergraph, masks, nb, degs):
-    """The first matching reduction after the covering pair, on connected C
-    with its edge masks, neighborhood masks and degrees; the terminal dual
-    constructions finish C.  C has no repeated edge, so an edge is told
-    from another by its mask."""
-    top = max(degs)
-    if top >= 3:
-        x = degs.index(top)
+    """The first matching reduction after the covering pair, on a connected
+    piece C with its edge masks, neighborhood masks and degrees; the
+    terminal dual constructions finish C.  C has no repeated edge, so an
+    edge is told from another by its mask."""
+    x = max(degs, key=degs.get)     # the first maximum: the lowest
+    if degs[x] >= 3:
         # the lowest neighbor of x in an edge that misses x
         near = 0
         for a in masks:
             if not a >> x & 1:
                 near |= a
         return "maxdeg", (x, next(bit_indices(near & nb[x]))), False
-    if 1 in degs:
-        v1 = degs.index(1)
+    if 1 in degs.values():
+        v1 = next(v for v, d in degs.items() if d == 1)
         a1 = next(a for a in masks if a >> v1 & 1)
         a2 = next(a for a in masks if a != a1 and a & a1)
         union12 = a1 | a2
@@ -278,11 +267,12 @@ def _k_rule(C: Hypergraph, masks, nb, degs):
             if (a & b).bit_count() >= 2:
                 return ("overlap", (next(bit_indices(a & b)),
                                     next(bit_indices(a & ~b))), False)
-    # terminal: 2-regular and linear; go through the dual graph
-    G = dual(C)
+    # terminal: 2-regular and linear; the dual of C re-indexed densely
+    sub, back = induced(C, degs)
+    G = dual(sub)
     if len(C.edges[0]) >= 4:
-        return "tree", _spanning_tree_labels(G), True
-    lookup = {e: lab for e, lab in zip(G.edges, G.edge_labels)}
+        return "tree", [back[v] for v in _spanning_tree_labels(G)], True
+    lookup = {e: back[lab] for e, lab in zip(G.edges, G.edge_labels)}
     return "forest", [lookup[e] for e in total_edge_cover_forest(G).set], True
 
 

@@ -223,15 +223,17 @@ def mask_neighborhoods(n: int, masks) -> list[int]:
         while rest:
             b = rest & -rest
             rest ^= b
-            nb[b.bit_length() - 1] |= mask
-    for v in range(n):
-        nb[v] &= ~(1 << v)
+            nb[b.bit_length() - 1] |= mask ^ b
     return nb
 
 
-def components(H: Hypergraph) -> list[list[int]]:
-    """Vertex blocks of connectivity; isolated vertices are singletons."""
-    parent = list(range(H.n))
+def edge_components(edges) -> list[tuple]:
+    """The edges split into connected pieces, each a tuple in the given
+    order; the pieces come in the order of their first edges, so by lowest
+    vertex when the edges are sorted.  The union-find holds only the
+    vertices the edges touch, each entered at its first edge, so a call
+    costs what the edges hold."""
+    parent: dict[int, int] = {}
 
     def find(a):
         while parent[a] != a:
@@ -239,16 +241,24 @@ def components(H: Hypergraph) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for e in H.edges:
-        r = find(e[0])
+    for e in edges:
+        r = find(parent.setdefault(e[0], e[0]))
         for v in e[1:]:
-            s = find(v)
+            s = find(parent.setdefault(v, r))
             if s != r:
                 parent[s] = r
-    blocks: dict[int, list[int]] = {}
-    for v in range(H.n):
-        blocks.setdefault(find(v), []).append(v)
-    return sorted(blocks.values())
+    pieces: dict[int, list] = {}
+    for e in edges:
+        pieces.setdefault(find(e[0]), []).append(e)
+    return [tuple(piece) for piece in pieces.values()]
+
+
+def components(H: Hypergraph) -> list[list[int]]:
+    """Vertex blocks of connectivity; isolated vertices are singletons."""
+    blocks = [sorted({v for e in piece for v in e})
+              for piece in edge_components(H.edges)]
+    covered = set().union(*blocks)
+    return sorted(blocks + [[v] for v in range(H.n) if v not in covered])
 
 
 def delete_vertices(H: Hypergraph, X) -> Hypergraph:

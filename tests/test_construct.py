@@ -29,7 +29,8 @@ from hypertrans.construct import (
     tt_kuniform,
 )
 from hypertrans.hcore import (
-    Hypergraph, bit_indices, class_check, components, hypergraph, induced,
+    Hypergraph, bit_indices, class_check, components, delete_vertices,
+    hypergraph, induced, neighborhood_masks,
 )
 from hypertrans.solve import (
     is_strong_transversal,
@@ -39,6 +40,8 @@ from hypertrans.solve import (
 )
 from hypertrans.xform import dual, graph
 from hypertrans.xsearch import random_hypergraph
+
+from shapes import disjoint_union
 
 
 def _rand_connected_graph_hg(rng, n):
@@ -162,42 +165,6 @@ def test_tt2_differential_random():
         assert tau_t(H).value <= r.size
 
 
-def _components_by_induced(H, back):
-    """The component split with no shortcut for a connected input: every
-    block goes through induced, its map composed with back."""
-    out = []
-    for block in components(H):
-        sub, local = induced(H, block)
-        out.append((sub, tuple(back[v] for v in local)))
-    return out
-
-
-def _split_by_induced(H):
-    """_components_by_induced behind _components's signature: each piece
-    carries its composed map as its labels."""
-    return [Hypergraph(sub.n, sub.edges, back, sub.had_multi_edge)
-            for sub, back in _components_by_induced(H, H.labels)]
-
-
-def test_tt_connected_rest_keeps_set_and_trace(monkeypatch):
-    """A connected component is reused as is, labels and all.  On instances
-    whose reduction takes two or more steps before its last, the set and
-    trace must match the path that sends every piece through induced."""
-    rng = random.Random(2211)
-    draws = [(tt_2uniform, _rand_connected_graph_hg(rng, rng.randint(6, 14)))
-             for _ in range(150)]
-    draws += [(tt_kuniform, _rand_hk(rng, 3 + i % 2, rng.randint(7, 12), 6))
-              for i in range(150)]
-    got = [(f, H, f(H)) for f, H in draws]
-    monkeypatch.setattr(construct, "_components", _split_by_induced)
-    deep = 0
-    for f, H, r in got:
-        want = f(H)
-        assert (r.set, r.trace) == (want.set, want.trace)
-        deep += sum(step[0] != "pair" for step in r.trace[:-1]) >= 2
-    assert deep >= 10
-
-
 def _xy_rule_on_sets(C, nb):
     """_xy_rule as first written, from C's edge tuples."""
     degs = C.degrees()
@@ -312,6 +279,96 @@ def test_tt_rules_match_set_definitions(monkeypatch):
     want = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
             for H in draws]
     assert [(r.set, r.trace) for r in got] == [(r.set, r.trace) for r in want]
+    names = ("pair", "xy", "maxdeg", "deg1", "overlap", "tree", "forest")
+    assert min(fired[name] for name in names) >= 10, fired
+
+
+def _pieces(H):
+    """H's connected pieces with an edge, each re-indexed densely by
+    induced, its labels composed with H.labels."""
+    out = []
+    for block in components(H):
+        sub, local = induced(H, block)
+        if sub.m:
+            out.append(Hypergraph(sub.n, sub.edges,
+                                  tuple(H.labels[v] for v in local)))
+    return out
+
+
+def _pair_on_sets(C):
+    """The first edge of C's 2-section, in lex order, that meets every
+    edge of C, or None."""
+    pairs = sorted({(u, v) for e in C.edges for u in e for v in e if u < v})
+    return next((p for p in pairs
+                 if all(p[0] in e or p[1] in e for e in C.edges)), None)
+
+
+def _reduce_reindexing(H, rule):
+    """The reduction as first written, on tuples and sets: every piece is
+    re-indexed densely through components, induced and delete_vertices,
+    with its labels composed back to H's indices, and rule(C, nb) is a
+    tuple-and-set rule, handed a dense piece.  Gives (set, trace)."""
+    T, trace = [], []
+    work = _pieces(Hypergraph(H.n, H.edges, tuple(range(H.n))))
+    while work:
+        C = work.pop()
+        back = C.labels
+        pair = _pair_on_sets(C)
+        name, picked, final = (("pair", pair, True) if pair
+                               else rule(C, neighborhood_masks(C)))
+        T += [back[v] for v in picked]
+        if final:
+            trace.append((name, tuple(sorted(back[v] for v in picked)), ()))
+            continue
+        doomed, repaired = _repair_pairwise(C, set(picked))
+        T += [back[v] for v in repaired]
+        trace.append((name, tuple(back[v] for v in picked),
+                      tuple(back[v] for v in repaired)))
+        work += _pieces(delete_vertices(C, doomed))
+    return tuple(sorted(T)), tuple(trace)
+
+
+def test_tt_connected_rest_keeps_set_and_trace():
+    """tt keeps every piece on the input's own vertex indices.  On seeded
+    draws its set and trace must match the reduction that re-indexes every
+    piece: random draws, draws whose vertices lie in at most two edges, and
+    disjoint unions of them, half with shuffled vertex labels."""
+    rng = random.Random(2211)
+    draws = []
+    for i in range(400):
+        k = 2 + i % 4
+        n = k + 2 + rng.randrange(10)
+        m = 2 + rng.randrange(n)
+        if m <= math.comb(n, k):
+            draws.append(random_hypergraph(k, n, m, rng.getrandbits(64),
+                                           require_class=True))
+    for i in range(300):
+        k = 3 + i % 3
+        linear = i % 2 == 0
+        ones = 0 if linear else rng.choice([0, 1, 2, k])
+        m = rng.randint(4 if linear else 3, 8)
+        H = _degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
+        if H is not None:
+            draws.append(H)
+    by_k = collections.defaultdict(list)
+    for H in draws:
+        by_k[len(H.edges[0])].append(H)
+    for i in range(400):
+        U = disjoint_union(*rng.sample(by_k[2 + i % 4], rng.randint(2, 3)))
+        if i % 2:
+            perm = list(range(U.n))
+            rng.shuffle(perm)
+            U = hypergraph(U.n, [[perm[v] for v in e] for e in U.edges])
+        draws.append(U)
+    assert len(draws) >= 1000
+    fired = collections.Counter()
+    for H in draws:
+        two = len(H.edges[0]) == 2
+        got = (tt_2uniform if two else tt_kuniform)(H)
+        want = _reduce_reindexing(H, _xy_rule_on_sets if two
+                                  else _k_rule_on_sets)
+        assert (got.set, got.trace) == want, H
+        fired.update(step[0] for step in got.trace)
     names = ("pair", "xy", "maxdeg", "deg1", "overlap", "tree", "forest")
     assert min(fired[name] for name in names) >= 10, fired
 

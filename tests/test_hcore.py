@@ -12,6 +12,7 @@ from hypertrans.hcore import (
     components,
     degree_profile,
     delete_vertices,
+    edge_components,
     from_text,
     hypergraph,
     induced,
@@ -200,6 +201,52 @@ def test_components():
     # vertex 3 isolated
     H2 = hypergraph(4, [[0, 1], [1, 2]])
     assert components(H2) == [[0, 1, 2], [3]]
+
+
+def _components_by_list(H):
+    """components as first written: a union-find over a list of all n
+    vertices, then every vertex's block."""
+    parent = list(range(H.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in H.edges:
+        r = find(e[0])
+        for v in e[1:]:
+            s = find(v)
+            if s != r:
+                parent[s] = r
+    blocks = {}
+    for v in range(H.n):
+        blocks.setdefault(find(v), []).append(v)
+    return sorted(blocks.values())
+
+
+def test_components_match_list_union_find():
+    """components and edge_components keep only the vertices the edges
+    touch; on seeded draws with isolated vertices the blocks must match a
+    union-find over every vertex, and each piece must hold its block's
+    edges in the input's order, the pieces in the order of their first
+    edges."""
+    rng = random.Random(233)
+    isolated = 0
+    for _ in range(300):
+        H = _rand_hg(rng, 14)
+        H = hypergraph(H.n + rng.randint(0, 3), H.edges)
+        blocks = components(H)
+        assert blocks == _components_by_list(H)
+        isolated += any(len(b) == 1 for b in blocks)
+        pieces = edge_components(H.edges)
+        assert sorted(e for p in pieces for e in p) == sorted(H.edges)
+        assert all(list(p) == [e for e in H.edges if e in p] for p in pieces)
+        assert [p[0] for p in pieces] == sorted(p[0] for p in pieces)
+        assert sorted(sorted({v for e in p for v in e}) for p in pieces) == [
+            b for b in blocks if len(b) > 1]
+    assert isolated >= 100
 
 
 def test_delete_vertices():

@@ -132,8 +132,10 @@ def test_constructors_match_definitions():
     """two_section, onh and Graph.to_hypergraph build their results without
     the validated constructors; each must equal the validated result of its
     definition, and the reduction's covering pair must be the first
-    covering edge of the 2-section in lex order."""
+    covering edge of the 2-section in lex order, also where its degree
+    pre-test skips an x below the pair."""
     rng = random.Random(2210)
+    skipped = 0
     for H in _draws(rng):
         pairs = sorted({(u, v) for e in H.edges for u in e for v in e if u < v})
         G = two_section(H)
@@ -145,8 +147,13 @@ def test_constructors_match_definitions():
             assert onh(H) == hypergraph(H.n, nbhd, allow_singletons=True)
         first = next((p for p in pairs
                       if all(p[0] in e or p[1] in e for e in H.edges)), None)
-        assert _covering_adjacent_pair(H.edge_masks(),
-                                       neighborhood_masks(H)) == first
+        degs = dict(enumerate(H.degrees()))
+        assert _covering_adjacent_pair(H.edge_masks(), neighborhood_masks(H),
+                                       degs) == first
+        top = max(degs.values(), default=0)
+        skipped += first is not None and any(
+            degs[x] + top <= H.m for x in range(first[0]))
+    assert skipped
     for G in _graphs(rng):
         assert G.to_hypergraph() == hypergraph(G.n, G.edges)
 

@@ -30,7 +30,8 @@ medians and the rounds the change won.
 
 A third population, small calls, runs the package's public calls on the
 pool's instances (the `hg` texts of pool-enumerate's set-up at SEED, each
-parsed by each side): `tt_2uniform` or `tt_kuniform` by the instance's k,
+parsed by each side, the two sides taking turns instance by instance, so
+that neither side's inputs all come after the other's): `tt_2uniform` or `tt_kuniform` by the instance's k,
 `onh`, `two_section`, `to_hypergraph` on that side's 2-section,
 `class_floor_check`, `random_hypergraph(k, n, m, i, require_class=True)`
 with the instance's k, n and m and its position i as the seed,
@@ -39,6 +40,11 @@ answered from a table of that side's own results, which times the report
 outside its four solves.  Every call must give `==` output on both sides,
 compared as plain tuples and dicts; the rounds and chunks are as above,
 and each kind's line also gives the median microseconds of one call.
+
+Calibration: an A/A run, on two copies of one tree, reads every kind
+within about 4% of 1.00 with the second tree faster in 5 to 15 of 20
+rounds; the kinds whose round takes a few milliseconds spread the most,
+so a gap that small on one of them shows nothing by itself.
 Standard library only.
 """
 
@@ -137,14 +143,30 @@ def _load(tree: Path, alias: str) -> SimpleNamespace:
         for name in ("construct", "hcore", "solve", "xform", "xsearch")})
 
 
-def _small_calls(pkg, texts) -> dict[str, tuple]:
-    """Small-call kind -> (function, argument tuples, plain) on pkg, where
-    plain(result) is the result as tuples and dicts, comparable across the
-    two packages."""
-    hs = [pkg.hcore.from_text(text) for text in texts]
-    graphs = [pkg.xform.two_section(H) for H in hs]
-    answers = {(id(H), name): pkg.solve.solve(H, name)
-               for H in hs for name in ("tau", "tau_t", "tau_strong", "gamma_t")}
+def _inputs(sides, texts) -> dict[str, tuple]:
+    """Side -> (instances, their 2-sections, their solve answers) from the
+    pool's texts, built in turns: both sides build each instance back to
+    back, the parent first at even positions and the change first at odd
+    ones.  Built one side after the other, the side built second ran its
+    small calls faster on code both sides shared: in A/A runs on two copies
+    of one tree, to_hypergraph read 0.94-0.96 with that side faster in 19
+    or 20 of 20 rounds, whichever package was loaded first."""
+    built = {side: ([], [], {}) for side in sides}
+    for i, text in enumerate(texts):
+        for side in list(sides)[::1 if i % 2 == 0 else -1]:
+            pkg, (hs, graphs, answers) = sides[side], built[side]
+            H = pkg.hcore.from_text(text)
+            hs.append(H)
+            graphs.append(pkg.xform.two_section(H))
+            for name in ("tau", "tau_t", "tau_strong", "gamma_t"):
+                answers[id(H), name] = pkg.solve.solve(H, name)
+    return built
+
+
+def _small_calls(pkg, hs, graphs, answers) -> dict[str, tuple]:
+    """Small-call kind -> (function, argument tuples, plain) on pkg and its
+    side's inputs, where plain(result) is the result as tuples and dicts,
+    comparable across the two packages."""
     xsearch, real = pkg.xsearch, pkg.xsearch.solve
 
     def tt(H):
@@ -282,7 +304,9 @@ def main(argv=None) -> int:
     runs = {key: {side: (pkg.solve._min_selection, calls)
                   for side, pkg in sides.items()}
             for key, calls in groups.items()}
-    small = {side: _small_calls(pkg, texts) for side, pkg in sides.items()}
+    inputs = _inputs(sides, texts)
+    small = {side: _small_calls(pkg, *inputs[side])
+             for side, pkg in sides.items()}
     for kind in SMALL_KINDS:
         out = {}
         for side in sides:
