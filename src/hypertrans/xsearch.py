@@ -210,10 +210,10 @@ def random_hypergraph(
 ) -> Hypergraph:
     """m distinct uniform k-subsets of an n-set, reproducible per seed.
 
-    With require_class, isolated vertices are repaired by restriction to the
-    covered set and the draw is repeated, up to _TRIES times, until the
-    result lands in the sound class; gives the uniform distribution
-    conditioned on class membership.
+    With require_class the draw is repeated, up to _TRIES times, until no
+    edge is isolated, and restricted to its covered vertices: uniform
+    conditioned on class membership.  The edges are distinct k-sets, and
+    distinct ones with k < 2 never meet, so the fold is the whole test.
     """
     if m < 1:
         raise ValueError("need at least one edge")
@@ -230,11 +230,11 @@ def random_hypergraph(
     if not require_class:
         return hypergraph(n, draw())
     for _ in range(_TRIES):
-        edges = draw()
-        H, _ = induced(Hypergraph(n, tuple(edges)),
-                       {v for e in edges for v in e})
-        if class_check(H).in_Hk:
-            return H
+        H = Hypergraph(n, tuple(draw()))
+        masks = H.edge_masks()
+        shared = shared_vertices(masks)
+        if all(a & shared for a in masks):
+            return induced(H, {v for e in H.edges for v in e})[0]
     raise RuntimeError(
         f"no in-class instance after {_TRIES} draws (k={k}, n={n}, m={m})"
     )

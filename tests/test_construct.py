@@ -213,6 +213,18 @@ def _k_rule_on_sets(C, nb):
     return "forest", [lookup[e] for e in total_edge_cover_forest(G).set], True
 
 
+def _on_dense(reference):
+    """reference(C, nb) as a step rule: run on C re-indexed densely over
+    the vertices its edges cover, its picks mapped back to C's indices.  A
+    piece holds the input's own indices, and the references read every
+    index below C.n as a vertex of C."""
+    def rule(C, masks, nb, degs):
+        sub, back = induced(C, {v for e in C.edges for v in e})
+        name, picked, final = reference(sub, neighborhood_masks(sub))
+        return name, type(picked)(back[v] for v in picked), final
+    return rule
+
+
 def _degree_two_draw(rng, k, m, ones, linear):
     """A sound k-uniform instance with m edges in which `ones` vertices lie
     in one edge and the rest in two, linear when asked; None if 500
@@ -255,32 +267,41 @@ def test_tt_rules_match_set_definitions(monkeypatch):
         H = _degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
         if H is not None:
             draws.append(H)
+    # 2-regular linear unions: a terminal step meets a piece that does not
+    # span the instance, so the references need a dense copy of it
+    k4dual = hypergraph(6, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]])
+    k5dual = hypergraph(10, [[0, 1, 2, 3], [0, 4, 5, 6], [1, 4, 7, 8],
+                             [2, 5, 7, 9], [3, 6, 8, 9]])
+    drawn3 = next(H for H in draws if len(H.edges[0]) == 3)
+    draws += [disjoint_union(k4dual, k4dual), disjoint_union(k5dual, k5dual),
+              disjoint_union(k4dual, drawn3, k4dual)]
     fired = collections.Counter()
 
     def checked(rule, reference):
         def step(C, masks, nb, degs):
             got = rule(C, masks, nb, degs)
-            assert got == reference(C, nb)
+            assert got == reference(C, masks, nb, degs)
             fired[got[0]] += 1
+            # a finishing step on a piece that leaves some index uncovered
+            fired["off-span end"] += got[2] and len(degs) < C.n
             return got
         return step
 
     monkeypatch.setattr(construct, "_xy_rule",
-                        checked(_xy_rule, _xy_rule_on_sets))
+                        checked(_xy_rule, _on_dense(_xy_rule_on_sets)))
     monkeypatch.setattr(construct, "_k_rule",
-                        checked(_k_rule, _k_rule_on_sets))
+                        checked(_k_rule, _on_dense(_k_rule_on_sets)))
     got = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
            for H in draws]
     fired["pair"] = sum(step[0] == "pair" for r in got for step in r.trace)
-    monkeypatch.setattr(construct, "_xy_rule",
-                        lambda C, masks, nb, degs: _xy_rule_on_sets(C, nb))
-    monkeypatch.setattr(construct, "_k_rule",
-                        lambda C, masks, nb, degs: _k_rule_on_sets(C, nb))
+    monkeypatch.setattr(construct, "_xy_rule", _on_dense(_xy_rule_on_sets))
+    monkeypatch.setattr(construct, "_k_rule", _on_dense(_k_rule_on_sets))
     want = [(tt_2uniform if len(H.edges[0]) == 2 else tt_kuniform)(H)
             for H in draws]
     assert [(r.set, r.trace) for r in got] == [(r.set, r.trace) for r in want]
     names = ("pair", "xy", "maxdeg", "deg1", "overlap", "tree", "forest")
     assert min(fired[name] for name in names) >= 10, fired
+    assert fired["off-span end"] >= 4, fired
 
 
 def _pieces(H):

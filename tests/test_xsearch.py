@@ -305,6 +305,49 @@ def test_random_hypergraph_domain():
         random_hypergraph(3, 8, 0, seed=1)
 
 
+def _stream_requests():
+    """(k, n, m, seed, require_class) of the pinned generator stream: 300
+    in-class requests on the benchmark pool's shapes for k = 2..6, its two
+    trial-batch sizes, and a few draws without the class requirement."""
+    rng = random.Random(2525)
+    out = []
+    for i in range(300):
+        k = 2 + i % 5
+        cap = 10 if k <= 3 else 12
+        n = k + 1 + rng.randrange(cap - k)
+        m = 2 + rng.randrange(min(cap // 2 - 1, math.comb(n, k) - 1))
+        out.append((k, n, m, rng.getrandbits(64), True))
+    out += [(20, 400, 400, 11, True), (50, 1000, 1000, 12, True)]
+    out += [(k, 10, 4, 30 + k, False) for k in (2, 3, 5, 8)]
+    return out
+
+
+# sha256 of the concatenated to_text() of the stream, taken while every
+# draw still went through induced and the whole class_check
+RANDOM_STREAM_DIGEST = (
+    "ae1db433bd2f503340d39290879b4cf1559eb6378c72f556f2760232e785ee46")
+
+
+def test_random_hypergraph_stream_digest():
+    texts = []
+    for k, n, m, seed, require in _stream_requests():
+        H = random_hypergraph(k, n, m, seed, require_class=require)
+        if require:
+            assert class_check(H).in_Hk, (k, n, m, seed)
+        texts.append(H.to_text())
+    got = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert got == RANDOM_STREAM_DIGEST
+
+
+@pytest.mark.parametrize("k, n, m", [(2, 5, 1), (1, 5, 3)])
+def test_random_hypergraph_gives_up(k, n, m):
+    # one edge is always isolated; distinct single-vertex edges never meet
+    with pytest.raises(RuntimeError) as info:
+        random_hypergraph(k, n, m, seed=1, require_class=True)
+    assert str(info.value) == (
+        f"no in-class instance after 500 draws (k={k}, n={n}, m={m})")
+
+
 # ------------------------------------------------------------- ratio search
 
 

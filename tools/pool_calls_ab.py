@@ -37,9 +37,13 @@ that neither side's inputs all come after the other's): `tt_2uniform` or `tt_kun
 with the instance's k, n and m and its position i as the seed,
 `verify_bounds`, and `verify_bounds` again with its module's `solve`
 answered from a table of that side's own results, which times the report
-outside its four solves.  Every call must give `==` output on both sides,
-compared as plain tuples and dicts; the rounds and chunks are as above,
-and each kind's line also gives the median microseconds of one call.
+outside its four solves.  One more kind, trial draws, makes the set-up's
+two trial-batch draws, `random_hypergraph(k, n, n, seed,
+require_class=True)` at each (k, n) of perfbench's TRIAL_BATCHES with the
+set-up's seeds: dense draws with k = 20 and 50, unlike the pool's small
+shapes.  Every call must give `==` output on both sides, compared as plain
+tuples and dicts; the rounds and chunks are as above, and each kind's line
+also gives the median microseconds of one call.
 
 Calibration: an A/A run, on two copies of one tree, reads every kind
 within about 4% of 1.00 with the second tree faster in 5 to 15 of 20
@@ -67,14 +71,14 @@ CHUNK = 500
 POPULATIONS = ("exact-solve", "pool-enumerate")
 SMALL = "small calls"
 SMALL_KINDS = ("tt", "onh", "two_section", "to_hypergraph",
-               "class_floor_check", "random_hypergraph", "verify_bounds",
-               "verify_bounds outside its solves")
+               "class_floor_check", "random_hypergraph", "trial draws",
+               "verify_bounds", "verify_bounds outside its solves")
 
 
-def _capture(tree: Path) -> tuple[dict[str, list[tuple]], list[str]]:
+def _capture(tree: Path) -> tuple[dict[str, list[tuple]], list[str], list]:
     """Population -> (nitems, reqs, total, nb) of each _min_selection call
-    of one pass of that workload of tree, and the hg text of each of the
-    pool's instances."""
+    of one pass of that workload of tree, the hg text of each of the pool's
+    instances, and the random_hypergraph arguments of its trial draws."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     cwd = os.getcwd()
     os.chdir(tree)   # the set-ups write their instance files below the tree
@@ -101,7 +105,10 @@ def _capture(tree: Path) -> tuple[dict[str, list[tuple]], list[str]]:
         texts = [args[0] for _, fn, args in
                  workloads.pool_setup(SEED, NullTracer())
                  if fn is workloads._pool_item]
-        return out, texts
+        # as pool_setup draws its trial instances
+        trials = [(k, size, size, workloads.split_seed(SEED, 10 + k), True)
+                  for k, size in workloads.TRIAL_BATCHES]
+        return out, texts, trials
     finally:
         os.chdir(cwd)
 
@@ -163,10 +170,10 @@ def _inputs(sides, texts) -> dict[str, tuple]:
     return built
 
 
-def _small_calls(pkg, hs, graphs, answers) -> dict[str, tuple]:
+def _small_calls(pkg, hs, graphs, answers, trials) -> dict[str, tuple]:
     """Small-call kind -> (function, argument tuples, plain) on pkg and its
-    side's inputs, where plain(result) is the result as tuples and dicts,
-    comparable across the two packages."""
+    side's inputs and the trial draws' arguments, where plain(result) is the
+    result as tuples and dicts, comparable across the two packages."""
     xsearch, real = pkg.xsearch, pkg.xsearch.solve
 
     def tt(H):
@@ -196,6 +203,7 @@ def _small_calls(pkg, hs, graphs, answers) -> dict[str, tuple]:
         "random_hypergraph": (xsearch.random_hypergraph,
                               [(len(H.edges[0]), H.n, H.m, i, True)
                                for i, H in enumerate(hs)], hg),
+        "trial draws": (xsearch.random_hypergraph, trials, hg),
         "verify_bounds": (xsearch.verify_bounds, each, lambda r: r.as_dict()),
         "verify_bounds outside its solves": (tabled, each,
                                              lambda r: r.as_dict()),
@@ -271,7 +279,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     args = ap.parse_args(argv)
-    captured, texts = _capture(args.parent.resolve())
+    captured, texts, trials = _capture(args.parent.resolve())
     sides = {"parent": _load(args.parent.resolve(), "ab_parent"),
              "change": _load(args.change.resolve(), "ab_change")}
     groups = {}   # (population, kind) -> its calls, kinds in sorted order
@@ -305,7 +313,7 @@ def main(argv=None) -> int:
                   for side, pkg in sides.items()}
             for key, calls in groups.items()}
     inputs = _inputs(sides, texts)
-    small = {side: _small_calls(pkg, *inputs[side])
+    small = {side: _small_calls(pkg, *inputs[side], trials)
              for side, pkg in sides.items()}
     for kind in SMALL_KINDS:
         out = {}
@@ -316,8 +324,8 @@ def main(argv=None) -> int:
                   if a != b]
         if differ:
             i = differ[0]
-            print(f"error: {len(differ)} of {len(texts)} {kind} calls differ; "
-                  f"first, on instance {i}: parent {out['parent'][i]!r}, "
+            print(f"error: {len(differ)} of {len(calls)} {kind} calls differ; "
+                  f"first, call {i}: parent {out['parent'][i]!r}, "
                   f"change {out['change'][i]!r}", file=sys.stderr)
             return 1
         runs[SMALL, kind] = {side: small[side][kind][:2] for side in sides}
@@ -347,9 +355,11 @@ def main(argv=None) -> int:
                  for side in sides}, total)
         for key in keys:
             _report(key[1], groups[key], moved[key], nodes[key], times[key])
-    print(f"{SMALL} on the pool's {len(texts)} instances:")
+    print(f"{SMALL} on the pool's {len(texts)} instances and its "
+          f"{len(trials)} trial draws:")
     for kind in SMALL_KINDS:
-        _report(kind, texts, None, None, times[SMALL, kind])
+        _report(kind, runs[SMALL, kind]["parent"][1], None, None,
+                times[SMALL, kind])
     return 0
 
 
