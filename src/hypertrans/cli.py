@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 infeasible instance or a failed bound row,
 2 usage or input errors, 3 an internal failure (a RuntimeError, such as a
 random draw that found no in-class instance within its retry limit or a
-witness that failed its re-check, or running out of memory).  Errors print one `error:` line on
-stderr.  Every run echoes its effective configuration and tags numeric
-claims with their provenance (solver, construction, formula).  With
---no-timestamp the output is byte-for-byte reproducible.
+witness that failed its re-check, or running out of memory).  Errors print
+one `error:` line on stderr.  Every run echoes its effective configuration
+and tags numeric claims with their provenance (solver, construction,
+formula).  With --no-timestamp the output is byte-for-byte reproducible.
 """
 
 from __future__ import annotations

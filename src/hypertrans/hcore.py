@@ -1,4 +1,4 @@
-"""Hypergraph data model: canonical edge storage, class predicates, deletion.
+"""Hypergraph data model: canonical edge storage, class predicates.
 
 Vertices are dense indices 0..n-1.  Edges are stored canonically (each edge a
 sorted tuple, the edge list sorted lexicographically) so that equal hypergraphs
@@ -26,8 +26,8 @@ MAX_HEADER_COUNT = 10_000
 class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
-    labels: tuple[int, ...] | None = None   # survivor -> original index trace
-    had_multi_edge: bool = False
+    # by keyword only, so a stray third argument cannot set it unseen
+    had_multi_edge: bool = field(default=False, kw_only=True)
 
     @property
     def m(self) -> int:
@@ -65,7 +65,7 @@ def bit_indices(mask: int):
         yield b.bit_length() - 1
 
 
-def hypergraph(n, edges, labels=None, allow_singletons=False) -> Hypergraph:
+def hypergraph(n, edges, allow_singletons=False) -> Hypergraph:
     """Validated constructor; canonicalizes edges and collapses duplicates.
 
     Size-1 edges are rejected unless allow_singletons is set (transformations
@@ -86,29 +86,7 @@ def hypergraph(n, edges, labels=None, allow_singletons=False) -> Hypergraph:
         canon.append(ce)
     deduped = sorted(set(canon))
     collapsed = len(deduped) < len(canon)
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise ValueError("label map length must equal n")
-    return Hypergraph(n, tuple(deduped), labels, collapsed)
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    n1: int          # number of degree-1 vertices
-    delta: int       # minimum degree
-    Delta: int       # maximum degree
-
-
-def degree_profile(H: Hypergraph) -> DegreeProfile:
-    d = H.degrees()
-    return DegreeProfile(
-        degrees=tuple(d),
-        n1=sum(1 for x in d if x == 1),
-        delta=min(d) if d else 0,
-        Delta=max(d) if d else 0,
-    )
+    return Hypergraph(n, tuple(deduped), had_multi_edge=collapsed)
 
 
 @dataclass(frozen=True)
@@ -125,22 +103,20 @@ class ClassCheck:
     max_degree: int
     n1: int                     # number of degree-1 vertices
 
-    def is_r_regular(self, r: int) -> bool:
-        return self.min_degree == self.max_degree == r
-
 
 def class_check(H: Hypergraph) -> ClassCheck:
     """Structural membership flags: uniformity, H_k, H_k*, linearity."""
     sizes = {len(e) for e in H.edges}
     uniform = len(sizes) == 1
     k = sizes.pop() if uniform else 0
-    dp = degree_profile(H)
-    isolated_vertex = dp.delta == 0 and H.n > 0
+    degs = H.degrees()
+    min_degree = min(degs, default=0)
+    isolated_vertex = min_degree == 0 and H.n > 0
     masks = H.edge_masks()
     # an edge meets another exactly when it has a vertex of degree >= 2
     shared = shared_vertices(masks)
     isolated_edge = not all(a & shared for a in masks)
-    max_shared = _max_shared(H, masks, dp.degrees)
+    max_shared = _max_shared(H, masks, degs)
     linear = max_shared <= 1
     in_hk = (
         uniform
@@ -159,9 +135,9 @@ def class_check(H: Hypergraph) -> ClassCheck:
         in_Hk=in_hk,
         in_Hk_star=in_hk_star,
         is_linear=linear,
-        min_degree=dp.delta,
-        max_degree=dp.Delta,
-        n1=dp.n1,
+        min_degree=min_degree,
+        max_degree=max(degs, default=0),
+        n1=degs.count(1),
     )
 
 
@@ -200,14 +176,6 @@ def _max_shared(H: Hypergraph, masks, degrees) -> int:
                 if shared > best:
                     best = shared
     return best
-
-
-def neighborhood(H: Hypergraph, v: int) -> set[int]:
-    """Open neighborhood N(v): all vertices sharing an edge with v, read
-    off `neighborhood_masks`."""
-    if not 0 <= v < H.n:
-        raise IndexError(f"vertex {v} out of range 0..{H.n - 1}")
-    return set(bit_indices(neighborhood_masks(H)[v]))
 
 
 def neighborhood_masks(H: Hypergraph) -> list[int]:
@@ -261,25 +229,6 @@ def components(H: Hypergraph) -> list[list[int]]:
     return sorted(blocks + [[v] for v in range(H.n) if v not in covered])
 
 
-def delete_vertices(H: Hypergraph, X) -> Hypergraph:
-    """Remove X, every edge meeting X, and any vertex left uncovered.
-
-    The edges that miss X are exactly the edges inside the vertices they
-    cover (an edge meeting X keeps its vertex of X outside them), so the
-    result is H induced on those vertices, re-indexed densely.  Labels
-    compose: where the result's v re-indexes H's w, its label is
-    H.labels[w], or w when H has no labels.
-    """
-    xs = set(X)
-    for v in xs:
-        if not 0 <= v < H.n:
-            raise ValueError(f"vertex {v} not in hypergraph")
-    sub, back = induced(H, {v for e in H.edges if xs.isdisjoint(e) for v in e})
-    if H.labels is not None:
-        back = [H.labels[v] for v in back]
-    return Hypergraph(sub.n, sub.edges, tuple(back), H.had_multi_edge)
-
-
 def induced(H: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
     """Sub-hypergraph on a vertex subset (edges wholly inside), plus the map
     from new indices back to H's indices."""
@@ -287,7 +236,8 @@ def induced(H: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
     vset = set(vs)
     index = {v: i for i, v in enumerate(vs)}
     kept = [tuple(index[v] for v in e) for e in H.edges if vset.issuperset(e)]
-    sub = Hypergraph(len(vs), tuple(sorted(kept)), None, H.had_multi_edge)
+    sub = Hypergraph(len(vs), tuple(sorted(kept)),
+                     had_multi_edge=H.had_multi_edge)
     return sub, vs
 
 

@@ -692,6 +692,7 @@ def _search(reqs, adj, allowed, greedy, hitting, holds, cuts=None):
 
     def branch(sel: int, size: int, banned: int, active, still, opened):
         slack, cand, d = min(active, key=_SLACK)
+        del active   # else each suspended generator on the stack holds it
         picks = bit_indices(cand)
         if slack:   # else only the first pick is ever tried
             # most open requirements first, the lower index on ties

@@ -107,7 +107,7 @@ def onh(H: Hypergraph) -> Hypergraph:
     if () in nbhd:      # a vertex whose only edges are singletons
         raise ValueError("empty edge")
     edges = tuple(sorted(set(nbhd)))
-    return Hypergraph(H.n, edges, None, len(edges) < H.n)
+    return Hypergraph(H.n, edges, had_multi_edge=len(edges) < H.n)
 
 
 def two_section(H: Hypergraph) -> Graph:
@@ -176,14 +176,8 @@ def shrink_degree_one(H: Hypergraph) -> Hypergraph:
         shrunk.append([v for v in e if v != ones[0]])
     survivors = sorted(set(range(H.n)) - dropped)
     index = {v: i for i, v in enumerate(survivors)}
-    old_labels = H.labels if H.labels is not None else tuple(range(H.n))
-    out = hypergraph(
-        len(survivors),
-        [[index[v] for v in e] for e in shrunk],
-        labels=[old_labels[v] for v in survivors],
-        allow_singletons=True,
-    )
-    return out
+    return hypergraph(len(survivors), [[index[v] for v in e] for e in shrunk],
+                      allow_singletons=True)
 
 
 @dataclass(frozen=True)

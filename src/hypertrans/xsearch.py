@@ -240,21 +240,6 @@ def random_hypergraph(
     )
 
 
-def _best_ratio(draws):
-    """(best ratio, its witness, its tag, draws seen) over (H, tag) draws,
-    the ratio being tau_t(H) / (n + m); strict improvement keeps the
-    earliest witness.  The first three are None when there are no draws."""
-    best: Fraction | None = None
-    witness = tag = None
-    tested = 0
-    for H, kind in draws:
-        tested += 1
-        ratio = Fraction(tau_t(H).value, H.n + H.m)
-        if best is None or ratio > best:
-            best, witness, tag = ratio, H, kind
-    return best, witness, tag, tested
-
-
 @dataclass(frozen=True)
 class BkEstimate:
     k: int
@@ -297,8 +282,14 @@ def estimate_bk(
             yield random_hypergraph(k, n, m, split_seed(seed, i),
                                     require_class=True), "random"
 
-    best, witness, mode, tested = _best_ratio(
-        itertools.islice(draws(), max(budget, 0)))
+    best: Fraction | None = None
+    witness = mode = None
+    tested = 0
+    for H, kind in itertools.islice(draws(), max(budget, 0)):
+        tested += 1
+        ratio = Fraction(tau_t(H).value, H.n + H.m)
+        if best is None or ratio > best:
+            best, witness, mode = ratio, H, kind
     if witness is None:
         raise ValueError("budget admitted no instances")
     check = Fraction(tau_t(witness).value, witness.n + witness.m)
@@ -422,9 +413,10 @@ def asymptotic_sweep(k_list, c: float, trials: int, seed: int,
     """Desk-scale bracketing of the logarithmic decay of the best ratio.
 
     Per uniformity k: Monte Carlo the randomized strong transversal on one
-    n = m = 2k instance (upper side, scaled by n+m), randomly search small
-    shapes for the largest exact ratio (lower side), and report ln(k)/k
-    between them.
+    n = m = 2k instance (upper side, scaled by n+m), solve the two-edge
+    instance on k + 1 vertices exactly (lower side: tau_t = 2, so its ratio
+    is 2/(k + 3), which meets the tight bounds 2/5 at k = 2 and 1/3 at
+    k = 3), and report ln(k)/k between them.
     """
     out = []
     for pos, k in enumerate(k_list):
@@ -435,13 +427,7 @@ def asymptotic_sweep(k_list, c: float, trials: int, seed: int,
             H, c, trials, split_seed(seed, 2 * pos + 1), jobs=jobs
         )
         nm = H.n + H.m
-        shapes = [(k + 1, 2), (k + 1, 4), (k + 2, 6), (k + 4, 8)]
-        rng_base = split_seed(seed, 1000 + pos)
-        best, witness, _, _ = _best_ratio(
-            (random_hypergraph(k, n, m, split_seed(rng_base, si * 16 + j),
-                               require_class=True), None)
-            for si, (n, m) in enumerate(shapes) if m <= math.comb(n, k)
-            for j in range(4))
+        W = Hypergraph(k + 1, (tuple(range(k)), tuple(range(1, k + 1))))
         out.append(
             SweepRow(
                 k=k,
@@ -451,8 +437,8 @@ def asymptotic_sweep(k_list, c: float, trials: int, seed: int,
                 upper_per_nm=rep.bound / nm,
                 mc_mean_per_nm=rep.mean_size / nm,
                 mc_valid=rep.all_valid,
-                best_ratio=best,
-                best_shape=(witness.n, witness.m),
+                best_ratio=Fraction(tau_t(W).value, W.n + W.m),
+                best_shape=(W.n, W.m),
             )
         )
     return out

@@ -29,8 +29,8 @@ from hypertrans.construct import (
     tt_kuniform,
 )
 from hypertrans.hcore import (
-    Hypergraph, bit_indices, class_check, components, delete_vertices,
-    hypergraph, induced, neighborhood_masks,
+    Hypergraph, bit_indices, class_check, components, hypergraph, induced,
+    neighborhood_masks,
 )
 from hypertrans.solve import (
     is_strong_transversal,
@@ -304,15 +304,15 @@ def test_tt_rules_match_set_definitions(monkeypatch):
     assert fired["off-span end"] >= 4, fired
 
 
-def _pieces(H):
+def _pieces(H, back):
     """H's connected pieces with an edge, each re-indexed densely by
-    induced, its labels composed with H.labels."""
+    induced, as (piece, its map to the input's indices): induced's map
+    composed with back, H's own map to them."""
     out = []
     for block in components(H):
         sub, local = induced(H, block)
         if sub.m:
-            out.append(Hypergraph(sub.n, sub.edges,
-                                  tuple(H.labels[v] for v in local)))
+            out.append((sub, [back[v] for v in local]))
     return out
 
 
@@ -326,14 +326,13 @@ def _pair_on_sets(C):
 
 def _reduce_reindexing(H, rule):
     """The reduction as first written, on tuples and sets: every piece is
-    re-indexed densely through components, induced and delete_vertices,
-    with its labels composed back to H's indices, and rule(C, nb) is a
-    tuple-and-set rule, handed a dense piece.  Gives (set, trace)."""
+    re-indexed densely through components and induced, with its map back
+    to H's indices, and rule(C, nb) is a tuple-and-set rule, handed a
+    dense piece.  Gives (set, trace)."""
     T, trace = [], []
-    work = _pieces(Hypergraph(H.n, H.edges, tuple(range(H.n))))
+    work = _pieces(H, range(H.n))
     while work:
-        C = work.pop()
-        back = C.labels
+        C, back = work.pop()
         pair = _pair_on_sets(C)
         name, picked, final = (("pair", pair, True) if pair
                                else rule(C, neighborhood_masks(C)))
@@ -345,7 +344,10 @@ def _reduce_reindexing(H, rule):
         T += [back[v] for v in repaired]
         trace.append((name, tuple(back[v] for v in picked),
                       tuple(back[v] for v in repaired)))
-        work += _pieces(delete_vertices(C, doomed))
+        # C less doomed: the edges missing it, on the vertices they cover
+        rest, local = induced(C, {v for e in C.edges
+                                  if doomed.isdisjoint(e) for v in e})
+        work += _pieces(rest, [back[v] for v in local])
     return tuple(sorted(T)), tuple(trace)
 
 

@@ -6,17 +6,15 @@ import pytest
 from hypertrans.hcore import (
     MAX_HEADER_COUNT,
     FormatError,
+    Hypergraph,
     _max_shared,
     class_check,
     class_floor_check,
     components,
-    degree_profile,
-    delete_vertices,
     edge_components,
     from_text,
     hypergraph,
     induced,
-    neighborhood,
     neighborhood_masks,
 )
 
@@ -39,6 +37,8 @@ def test_canonical_storage():
     H2 = hypergraph(4, [[2, 0], [3, 1]])
     assert not H2.had_multi_edge
     assert H.edges == H2.edges
+    with pytest.raises(TypeError):   # the flag is set by keyword only
+        Hypergraph(4, H.edges, True)
 
 
 def test_constructor_rejects_bad_edges():
@@ -53,14 +53,6 @@ def test_constructor_rejects_bad_edges():
     # singleton allowed only when explicitly requested
     H = hypergraph(3, [[1], [0, 2]], allow_singletons=True)
     assert H.edges == ((0, 2), (1,))
-
-
-def test_degree_profile():
-    H = hypergraph(4, [[0, 1, 2], [1, 2, 3]])
-    dp = degree_profile(H)
-    assert dp.degrees == (1, 2, 2, 1)
-    assert dp.n1 == 2
-    assert dp.delta == 1 and dp.Delta == 2
 
 
 def test_class_check_basic():
@@ -89,7 +81,7 @@ def test_class_check_exclusions():
     c5 = hypergraph(5, [[i, (i + 1) % 5] for i in range(5)])
     cc5 = class_check(c5)
     assert cc5.in_Hk and not cc5.in_Hk_star
-    assert cc5.is_r_regular(2)
+    assert cc5.min_degree == cc5.max_degree == 2
 
 
 def test_class_check_pairwise_definition():
@@ -175,24 +167,15 @@ def test_max_shared_matches_pairwise_rule():
     assert _max_shared(H, H.edge_masks(), H.degrees()) == 1
 
 
-def test_neighborhood():
-    H = hypergraph(4, [[0, 1, 2], [1, 2, 3]])
-    assert neighborhood(H, 0) == {1, 2}
-    assert neighborhood(H, 1) == {0, 2, 3}
-    with pytest.raises(IndexError):
-        neighborhood(H, 4)
-
-
 def test_neighborhood_masks_match_sets():
     rng = random.Random(401)
     for _ in range(60):
         H = _rand_hg(rng)
         masks = neighborhood_masks(H)
         for v in range(H.n):
-            want = 0
-            for u in neighborhood(H, v):
-                want |= 1 << u
-            assert masks[v] == want
+            # N(v): the union of the edges holding v, less v
+            want = set().union(*(e for e in H.edges if v in e)) - {v}
+            assert masks[v] == sum(1 << u for u in want)
 
 
 def test_components():
@@ -247,31 +230,6 @@ def test_components_match_list_union_find():
         assert sorted(sorted({v for e in p for v in e}) for p in pieces) == [
             b for b in blocks if len(b) > 1]
     assert isolated >= 100
-
-
-def test_delete_vertices():
-    H = hypergraph(5, [[0, 1, 2], [2, 3, 4], [0, 3, 4]])
-    R = delete_vertices(H, {0})
-    # only {2,3,4} survives; vertex 1 loses all edges and is dropped
-    assert R.n == 3
-    assert R.edges == ((0, 1, 2),)
-    assert R.labels == (2, 3, 4)
-    # label chaining through a second deletion
-    R2 = delete_vertices(R, {0})
-    assert R2.n == 0 and R2.edges == ()
-    with pytest.raises(ValueError):
-        delete_vertices(H, {9})
-
-
-def test_delete_vertices_keeps_untouched_edges():
-    rng = random.Random(402)
-    for _ in range(60):
-        H = _rand_hg(rng)
-        xs = set(rng.sample(range(H.n), rng.randint(0, H.n // 2)))
-        R = delete_vertices(H, xs)
-        back = {tuple(R.labels[v] for v in e) for e in R.edges}
-        want = {e for e in H.edges if not xs.intersection(e)}
-        assert back == want
 
 
 def test_induced():

@@ -1167,6 +1167,32 @@ def test_search_depth_adds_no_python_frames():
         == (want.value, want.witness, want.nodes)
 
 
+def test_suspended_children_hold_no_entries(monkeypatch):
+    """A children's generator waiting on the search's stack keeps only what
+    its later children need, not the node's list of open entries, which
+    would cost one tuple per open entry on every level.  At each packing
+    call, every started generator on the stack is read; one not started yet
+    still holds its arguments, so it is passed over."""
+    module = sys.modules["hypertrans.solve"]
+    packing = module._packing
+    seen = []   # per started generator read, whether it held the entries
+
+    def spy(active):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "_search":
+            frame = frame.f_back
+        for g in frame.f_locals.get("stack", ()):
+            if inspect.getgeneratorstate(g) == inspect.GEN_SUSPENDED:
+                seen.append("active" in g.gi_frame.f_locals)
+        return packing(active)
+
+    monkeypatch.setattr(module, "_packing", spy)
+    H = random_hypergraph(3, 70, 60, split_seed(7, 0), require_class=True)
+    tau_t(H)
+    assert len(seen) >= 1000
+    assert not any(seen)
+
+
 def test_total_dominating_matches_definition():
     """Every vertex has a member of S other than itself in a common edge,
     checked literally against the predicate on random (H, S), dominating or

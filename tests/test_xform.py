@@ -200,7 +200,9 @@ def test_shrink_degree_one():
     S = shrink_degree_one(H)
     assert S.n == 3 == H.n - H.m
     assert S.edges == ((0, 1), (1, 2))
-    assert S.labels == (1, 2, 4)        # dropped 0 from one edge, 3 from the other
+    # dropped 0 from one edge, 3 from the other; the survivors keep their order
+    survivors = [v for v in range(H.n) if v not in {0, 3}]
+    assert {tuple(survivors[v] for v in e) for e in S.edges} == {(1, 2), (2, 4)}
     with pytest.raises(ValueError, match="degree-1"):
         shrink_degree_one(hypergraph(5, [[i, (i + 1) % 5] for i in range(5)]))
 
@@ -225,7 +227,9 @@ def test_shrink_uniformity_drop_random():
         assert all(len(e) == k - 1 for e in S.edges)
         # every shrunk edge is an original edge minus one degree-1 vertex
         degs = H.degrees()
-        back = {tuple(S.labels[v] for v in e) for e in S.edges}
+        dropped = {min(v for v in e if degs[v] == 1) for e in H.edges}
+        survivors = [v for v in range(H.n) if v not in dropped]
+        back = {tuple(survivors[v] for v in e) for e in S.edges}
         for be in back:
             src = [e for e in H.edges if set(be).issubset(e)]
             assert src and any(

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from hypertrans import xsearch
-from hypertrans.hcore import Hypergraph, class_check, degree_profile, hypergraph
+from hypertrans.construct import split_seed
+from hypertrans.hcore import Hypergraph, class_check, hypergraph
 from hypertrans.solve import tau_t
 from hypertrans.xform import family_Fk, onh
 from hypertrans.xsearch import (
@@ -550,7 +551,9 @@ def test_class_check_n1_matches_degree_profile():
         sound = m >= 2 and n > k and rng.random() < 0.5
         H = random_hypergraph(k, n, m, rng.getrandbits(64),
                               require_class=sound)
-        assert class_check(H).n1 == degree_profile(H).n1
+        # the vertices lying in exactly one edge
+        ones = [v for v in range(H.n) if sum(v in e for e in H.edges) == 1]
+        assert class_check(H).n1 == len(ones)
 
 
 # ------------------------------------------------------------------- sweep
@@ -575,3 +578,40 @@ def test_sweep_deterministic():
     a = asymptotic_sweep([4], c=2.0, trials=40, seed=3)
     b = asymptotic_sweep([4], c=2.0, trials=40, seed=3)
     assert a == b
+
+
+def _random_lower_side(k, pos, seed):
+    """The sweep's lower side as first written: 4 random in-class draws at
+    each of 4 small shapes, solved exactly, the earliest strict best kept.
+    Gives (best ratio, its witness's shape)."""
+    shapes = [(k + 1, 2), (k + 1, 4), (k + 2, 6), (k + 4, 8)]
+    base = split_seed(seed, 1000 + pos)
+    best = shape = None
+    for si, (n, m) in enumerate(shapes):
+        if m > math.comb(n, k):
+            continue
+        for j in range(4):
+            H = random_hypergraph(k, n, m, split_seed(base, si * 16 + j),
+                                  require_class=True)
+            ratio = Fraction(tau_t(H).value, H.n + H.m)
+            if best is None or ratio > best:
+                best, shape = ratio, (H.n, H.m)
+    return best, shape
+
+
+def test_sweep_lower_side_is_the_two_edge_witness():
+    """The two edges on k + 1 vertices read 2/(k + 3), which the random
+    search the sweep once ran never beats and always ties at that shape;
+    at k = 2 and 3 the witness meets T_b2 and T_k3 with slack 0."""
+    ks = range(2, 13)
+    for seed in (3, 11, 17):
+        # c = 1.3 keeps the upper side's p = ln(ck)/(k-1) below 1 at k = 2
+        rows = asymptotic_sweep(ks, c=1.3, trials=1, seed=seed)
+        for pos, (k, row) in enumerate(zip(ks, rows)):
+            want = (Fraction(2, k + 3), (k + 1, 2))
+            assert _random_lower_side(k, pos, seed) == want, (k, seed)
+            assert (row.best_ratio, row.best_shape) == want, (k, seed)
+    for k, theorem in ((2, "T_b2"), (3, "T_k3")):
+        W = hypergraph(k + 1, [range(k), range(1, k + 1)])
+        rows = {r.theorem: r for r in verify_bounds(W).rows}
+        assert rows[theorem].slack == 0

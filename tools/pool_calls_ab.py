@@ -188,7 +188,7 @@ def _small_calls(pkg, hs, graphs, answers, trials) -> dict[str, tuple]:
             xsearch.solve = real
 
     def hg(H):
-        return H.n, H.edges, H.labels, H.had_multi_edge
+        return H.n, H.edges, H.had_multi_edge
 
     each = [(H,) for H in hs]
     return {
