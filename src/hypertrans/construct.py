@@ -9,20 +9,21 @@ returned set is re-validated against the definitional predicate.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .hcore import (
     Hypergraph, _mask, bit_indices, class_check, components, edge_components,
-    induced, mask_neighborhoods, shared_vertices,
+    mask_neighborhoods, neighborhood_masks, shared_vertices,
 )
 from .solve import (
     is_strong_transversal,
     is_total_edge_cover,
     is_total_transversal,
 )
-from .xform import Graph, dual
+from .xform import Graph
 
 # splitmix64: the per-trial RNG.  64-bit integer arithmetic only, so streams
 # are identical on every platform, and seeds split by index without overlap
@@ -244,8 +245,8 @@ def tt_kuniform(H: Hypergraph) -> ConstructionResult:
 def _k_rule(C: Hypergraph, masks, nb, degs):
     """The first matching reduction after the covering pair, on a connected
     piece C with its edge masks, neighborhood masks and degrees; the
-    terminal dual constructions finish C.  C has no repeated edge, so an
-    edge is told from another by its mask."""
+    terminal constructions on C's dual graph finish C.  C has no repeated
+    edge, so an edge is told from another by its mask."""
     x = max(degs, key=degs.get)     # the first maximum: the lowest
     if degs[x] >= 3:
         # the lowest neighbor of x in an edge that misses x
@@ -262,40 +263,45 @@ def _k_rule(C: Hypergraph, masks, nb, degs):
         a3 = next(a for a in masks if a != a1 and a != a2 and a & union12)
         return ("deg1", (next(bit_indices(a1 & a2)),
                          next(bit_indices(a3 & union12))), False)
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if (a & b).bit_count() >= 2:
-                return ("overlap", (next(bit_indices(a & b)),
-                                    next(bit_indices(a & ~b))), False)
-    # terminal: 2-regular and linear; the dual of C re-indexed densely
-    sub, back = induced(C, degs)
-    G = dual(sub)
+    # every vertex lies in two edges: one pass maps each pair (i, j) of
+    # edge indices to the vertices the two edges share, ascending
+    first: dict[int, int] = {}
+    joins: dict[tuple[int, int], list[int]] = {}
+    for j, e in enumerate(C.edges):
+        for v in e:
+            i = first.setdefault(v, j)
+            if i != j:
+                joins.setdefault((i, j), []).append(v)
+    over = min((p for p, vs in joins.items() if len(vs) >= 2), default=None)
+    if over:
+        i, j = over
+        return ("overlap", (joins[over][0],
+                            next(bit_indices(masks[i] & ~masks[j]))), False)
+    # terminal: C is 2-regular and linear, and G is its dual, vertex i
+    # standing for edge i and each edge for the one vertex its pair shares
+    G = Graph(len(masks), tuple(sorted(joins)))
     if len(C.edges[0]) >= 4:
-        return "tree", [back[v] for v in _spanning_tree_labels(G)], True
-    lookup = {e: back[lab] for e, lab in zip(G.edges, G.edge_labels)}
-    return "forest", [lookup[e] for e in total_edge_cover_forest(G).set], True
+        return "tree", [joins[p][0] for p in _spanning_tree(G)], True
+    return ("forest", [joins[p][0] for p in total_edge_cover_forest(G).set],
+            True)
 
 
-def _spanning_tree_labels(G: Graph) -> list[int]:
-    """Labels (originating hypergraph vertices) of one BFS tree's edges."""
-    nbr: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-    for idx, (u, v) in enumerate(G.edges):
-        nbr[u].append((v, idx))
-        nbr[v].append((u, idx))
-    seen = [False] * G.n
-    seen[0] = True
+def _spanning_tree(G: Graph) -> list[tuple[int, int]]:
+    """The edges of a BFS tree of G from vertex 0, in the order found, each
+    vertex's neighbors taken lowest first."""
+    nb = neighborhood_masks(G)
+    seen = 1
     queue = [0]
-    chosen = []
-    while queue:
-        u = queue.pop(0)
-        for v, idx in nbr[u]:
-            if not seen[v]:
-                seen[v] = True
-                chosen.append(G.edge_labels[idx])
-                queue.append(v)
-    if not all(seen):
+    tree = []
+    for u in queue:
+        fresh = nb[u] & ~seen
+        seen |= fresh
+        for v in bit_indices(fresh):
+            tree.append((min(u, v), max(u, v)))
+            queue.append(v)
+    if seen != (1 << G.n) - 1:
         raise ValueError("dual graph is not connected")
-    return chosen
+    return tree
 
 
 def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
@@ -309,7 +315,7 @@ def p3_packing(G: Graph, mode: str = "greedy", cap: int = 16):
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    nbr = G.neighbor_masks()
+    nbr = neighborhood_masks(G)
     if mode == "greedy":
         used = 0
         out = []
@@ -386,16 +392,22 @@ def total_edge_cover_forest(G: Graph, cap: int = 16) -> ConstructionResult:
         edges += [(min(a, c), max(a, c)), (min(c, b), max(c, b))]
         covered |= _mask3(a, c, b)
         trace.append(("seed", (a, c, b), ()))
-    nbr = G.neighbor_masks()
-    while covered != (1 << G.n) - 1:
-        v = next(
-            u for u in range(G.n)
-            if not covered >> u & 1 and nbr[u] & covered
-        )
-        u = (nbr[v] & covered & -(nbr[v] & covered)).bit_length() - 1
+    nbr = neighborhood_masks(G)
+    full = (1 << G.n) - 1
+    # a heap (ascending as built) of the uncovered vertices with a covered
+    # neighbor; an entry covered since it was pushed is passed over
+    near = [v for v in bit_indices(full & ~covered) if nbr[v] & covered]
+    while covered != full:
+        v = heapq.heappop(near)
+        if covered >> v & 1:
+            continue
+        hold = nbr[v] & covered
+        u = (hold & -hold).bit_length() - 1
         edges.append((min(u, v), max(u, v)))
         covered |= 1 << v
         trace.append(("attach", (v, u), ()))
+        for w in bit_indices(nbr[v] & ~covered):
+            heapq.heappush(near, w)
     chosen = tuple(sorted(edges))
     if not is_total_edge_cover(G, chosen):
         raise RuntimeError(f"construction produced an invalid cover {chosen}")

@@ -178,9 +178,10 @@ def _max_shared(H: Hypergraph, masks, degrees) -> int:
     return best
 
 
-def neighborhood_masks(H: Hypergraph) -> list[int]:
-    """Open neighborhoods of all vertices as bitmasks."""
-    return mask_neighborhoods(H.n, H.edge_masks())
+def neighborhood_masks(H) -> list[int]:
+    """Open neighborhoods of all vertices as bitmasks, of a Hypergraph or
+    of an xform.Graph: both hold n and edges of indices below n."""
+    return mask_neighborhoods(H.n, map(_mask, H.edges))
 
 
 def mask_neighborhoods(n: int, masks) -> list[int]:
@@ -229,16 +230,15 @@ def components(H: Hypergraph) -> list[list[int]]:
     return sorted(blocks + [[v] for v in range(H.n) if v not in covered])
 
 
-def induced(H: Hypergraph, vertices) -> tuple[Hypergraph, list[int]]:
-    """Sub-hypergraph on a vertex subset (edges wholly inside), plus the map
-    from new indices back to H's indices."""
+def induced(H: Hypergraph, vertices) -> Hypergraph:
+    """Sub-hypergraph on a vertex subset (edges wholly inside), the subset's
+    vertices re-indexed densely in ascending order."""
     vs = sorted(set(vertices))
     vset = set(vs)
     index = {v: i for i, v in enumerate(vs)}
     kept = [tuple(index[v] for v in e) for e in H.edges if vset.issuperset(e)]
-    sub = Hypergraph(len(vs), tuple(sorted(kept)),
-                     had_multi_edge=H.had_multi_edge)
-    return sub, vs
+    return Hypergraph(len(vs), tuple(sorted(kept)),
+                      had_multi_edge=H.had_multi_edge)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from .hcore import (
     bit_indices,
     class_check,
     hypergraph,
-    mask_neighborhoods,
     neighborhood_masks,
     read_text,
 )
@@ -23,8 +22,8 @@ from .hcore import (
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; edge_labels, when present, aligns with edges
-    and records which hypergraph vertex a dual edge came from.
+    """Simple undirected graph on the vertices 0..n-1; like a Hypergraph it
+    holds n and edges, so `hcore.neighborhood_masks` serves both.
 
     Invariant: edges are unique pairs (u, v) with 0 <= u < v < n, in lex
     order.  `to_hypergraph` and `two_section` rely on it and do not check
@@ -33,7 +32,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    edge_labels: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -46,10 +44,6 @@ class Graph:
             d[v] += 1
         return d
 
-    def neighbor_masks(self) -> list[int]:
-        pairs = (1 << u | 1 << v for u, v in self.edges)
-        return mask_neighborhoods(self.n, pairs)
-
     def to_hypergraph(self) -> Hypergraph:
         # the pairs are already canonical edges (class invariant)
         return Hypergraph(self.n, self.edges)
@@ -61,7 +55,7 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
-def graph(n, edges, edge_labels=None) -> Graph:
+def graph(n, edges) -> Graph:
     """Validated constructor; sorts edges, rejects loops and parallel pairs."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -75,16 +69,7 @@ def graph(n, edges, edge_labels=None) -> Graph:
         pairs.append((min(u, v), max(u, v)))
     if len(set(pairs)) < len(pairs):
         raise ValueError("parallel edges")
-    if edge_labels is None:
-        return Graph(n, tuple(sorted(pairs)))
-    if len(edge_labels) != len(pairs):
-        raise ValueError("edge_labels length must equal edge count")
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-    return Graph(
-        n,
-        tuple(pairs[i] for i in order),
-        tuple(edge_labels[i] for i in order),
-    )
+    return Graph(n, tuple(sorted(pairs)))
 
 
 def graph_from_text(text: str) -> Graph:
@@ -142,7 +127,6 @@ def dual(H: Hypergraph) -> Graph:
             incident[v].append(ei)
     seen: dict[tuple[int, int], int] = {}
     edges = []
-    labels = []
     for v in range(H.n):
         a, b = incident[v]
         pair = (min(a, b), max(a, b))
@@ -153,8 +137,7 @@ def dual(H: Hypergraph) -> Graph:
             )
         seen[pair] = v
         edges.append(pair)
-        labels.append(v)
-    return graph(H.m, edges, labels)
+    return graph(H.m, edges)
 
 
 def shrink_degree_one(H: Hypergraph) -> Hypergraph:

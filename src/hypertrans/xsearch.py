@@ -234,7 +234,7 @@ def random_hypergraph(
         masks = H.edge_masks()
         shared = shared_vertices(masks)
         if all(a & shared for a in masks):
-            return induced(H, {v for e in H.edges for v in e})[0]
+            return induced(H, {v for e in H.edges for v in e})
     raise RuntimeError(
         f"no in-class instance after {_TRIES} draws (k={k}, n={n}, m={m})"
     )

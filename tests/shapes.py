@@ -1,7 +1,8 @@
 """Seeded instance shapes shared by the solver tests: disjoint unions,
-pairing-model cubic graphs, pendant hypergraphs and bases of the family
-expansions.  rng is a random.Random; cubic_graph draws through randrange
-alone, so a hypertrans SplitMix64 drives it too."""
+pairing-model cubic graphs, pendant hypergraphs, instances whose vertices
+lie in at most two edges and bases of the family expansions.  rng is a
+random.Random; cubic_graph draws through randrange alone, so a hypertrans
+SplitMix64 drives it too."""
 
 from hypertrans.hcore import class_check, hypergraph
 from hypertrans.xform import graph
@@ -41,6 +42,25 @@ def pendant_hypergraph(rng, k, core, m):
                      + list(range(n, n + fresh)))
         n += fresh
     return hypergraph(n, edges)
+
+
+def degree_two_draw(rng, k, m, ones, linear):
+    """A sound k-uniform instance with m edges in which `ones` vertices lie
+    in one edge and the rest in two, linear when asked; None if 500
+    shuffles of the vertex slots give none."""
+    n2 = (k * m - ones) // 2
+    slots = [v for v in range(n2) for _ in (0, 1)]
+    slots += range(n2, n2 + ones)
+    for _ in range(500):
+        rng.shuffle(slots)
+        edges = [slots[i * k:(i + 1) * k] for i in range(m)]
+        if any(len(set(e)) < k for e in edges):
+            continue
+        H = hypergraph(n2 + ones, edges)
+        cc = class_check(H)
+        if cc.in_Hk and (cc.is_linear or not linear):
+            return H
+    return None
 
 
 def family_base(rng, k, n, star):

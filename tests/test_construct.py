@@ -15,7 +15,7 @@ from hypertrans.construct import (
     _draw_threshold,
     _k_rule,
     _repair_isolated,
-    _spanning_tree_labels,
+    _spanning_tree,
     _strong_kernel,
     _strong_params,
     _trial_rows,
@@ -38,10 +38,10 @@ from hypertrans.solve import (
     is_total_transversal,
     tau_t,
 )
-from hypertrans.xform import dual, graph
+from hypertrans.xform import graph
 from hypertrans.xsearch import random_hypergraph
 
-from shapes import disjoint_union
+from shapes import degree_two_draw, disjoint_union
 
 
 def _rand_connected_graph_hg(rng, n):
@@ -206,11 +206,38 @@ def _k_rule_on_sets(C, nb):
                 u = min(set(C.edges[i]) & set(C.edges[j]))
                 v = min(set(C.edges[i]) - set(C.edges[j]))
                 return "overlap", (u, v), False
-    G = dual(C)
+    # the dual graph: one vertex per edge of C, and per vertex v of C an
+    # edge joining the two edges that hold v, labelled v
+    label = {}
+    for v in range(C.n):
+        i, j = [i for i, e in enumerate(C.edges) if v in e]
+        label[i, j] = v
+    G = graph(C.m, label)
     if len(C.edges[0]) >= 4:
-        return "tree", _spanning_tree_labels(G), True
-    lookup = {e: lab for e, lab in zip(G.edges, G.edge_labels)}
-    return "forest", [lookup[e] for e in total_edge_cover_forest(G).set], True
+        return "tree", [label[p] for p in _bfs_tree_on_lists(G)], True
+    return "forest", [label[p] for p in total_edge_cover_forest(G).set], True
+
+
+def _bfs_tree_on_lists(G):
+    """A BFS tree's edges from vertex 0, in the order found, as first
+    written: neighbor lists in edge order and a list queue popped from its
+    front."""
+    nbr = [[] for _ in range(G.n)]
+    for u, v in G.edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    seen = [False] * G.n
+    seen[0] = True
+    queue = [0]
+    tree = []
+    while queue:
+        u = queue.pop(0)
+        for v in nbr[u]:
+            if not seen[v]:
+                seen[v] = True
+                tree.append((min(u, v), max(u, v)))
+                queue.append(v)
+    return tree
 
 
 def _on_dense(reference):
@@ -219,29 +246,11 @@ def _on_dense(reference):
     piece holds the input's own indices, and the references read every
     index below C.n as a vertex of C."""
     def rule(C, masks, nb, degs):
-        sub, back = induced(C, {v for e in C.edges for v in e})
+        back = sorted({v for e in C.edges for v in e})
+        sub = induced(C, back)
         name, picked, final = reference(sub, neighborhood_masks(sub))
         return name, type(picked)(back[v] for v in picked), final
     return rule
-
-
-def _degree_two_draw(rng, k, m, ones, linear):
-    """A sound k-uniform instance with m edges in which `ones` vertices lie
-    in one edge and the rest in two, linear when asked; None if 500
-    shuffles of the vertex slots give none."""
-    n2 = (k * m - ones) // 2
-    slots = [v for v in range(n2) for _ in (0, 1)]
-    slots += range(n2, n2 + ones)
-    for _ in range(500):
-        rng.shuffle(slots)
-        edges = [slots[i * k:(i + 1) * k] for i in range(m)]
-        if any(len(set(e)) < k for e in edges):
-            continue
-        H = hypergraph(n2 + ones, edges)
-        cc = class_check(H)
-        if cc.in_Hk and (cc.is_linear or not linear):
-            return H
-    return None
 
 
 def test_tt_rules_match_set_definitions(monkeypatch):
@@ -264,7 +273,7 @@ def test_tt_rules_match_set_definitions(monkeypatch):
         linear = i % 2 == 0
         ones = 0 if linear else rng.choice([0, 1, 2, k])
         m = rng.randint(4 if linear else 3, 8)
-        H = _degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
+        H = degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
         if H is not None:
             draws.append(H)
     # 2-regular linear unions: a terminal step meets a piece that does not
@@ -306,11 +315,12 @@ def test_tt_rules_match_set_definitions(monkeypatch):
 
 def _pieces(H, back):
     """H's connected pieces with an edge, each re-indexed densely by
-    induced, as (piece, its map to the input's indices): induced's map
-    composed with back, H's own map to them."""
+    induced, as (piece, its map to the input's indices): the piece's
+    sorted vertices composed with back, H's own map to them."""
     out = []
     for block in components(H):
-        sub, local = induced(H, block)
+        local = sorted(block)
+        sub = induced(H, local)
         if sub.m:
             out.append((sub, [back[v] for v in local]))
     return out
@@ -345,8 +355,8 @@ def _reduce_reindexing(H, rule):
         trace.append((name, tuple(back[v] for v in picked),
                       tuple(back[v] for v in repaired)))
         # C less doomed: the edges missing it, on the vertices they cover
-        rest, local = induced(C, {v for e in C.edges
-                                  if doomed.isdisjoint(e) for v in e})
+        local = sorted({v for e in C.edges if doomed.isdisjoint(e) for v in e})
+        rest = induced(C, local)
         work += _pieces(rest, [back[v] for v in local])
     return tuple(sorted(T)), tuple(trace)
 
@@ -370,7 +380,7 @@ def test_tt_connected_rest_keeps_set_and_trace():
         linear = i % 2 == 0
         ones = 0 if linear else rng.choice([0, 1, 2, k])
         m = rng.randint(4 if linear else 3, 8)
-        H = _degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
+        H = degree_two_draw(rng, k, m, ones + (k * m - ones) % 2, linear)
         if H is not None:
             draws.append(H)
     by_k = collections.defaultdict(list)
@@ -454,7 +464,7 @@ def test_p3_packing_properties_random():
             paths = p3_packing(G, mode)
             used = [v for p in paths for v in p]
             assert len(used) == len(set(used))
-            nbrs = G.neighbor_masks()
+            nbrs = neighborhood_masks(G)
             for a, c, b in paths:
                 assert nbrs[c] >> a & 1 and nbrs[c] >> b & 1
         assert len(p3_packing(G, "exact")) >= len(p3_packing(G, "greedy"))
@@ -540,6 +550,59 @@ def test_total_edge_cover_forest_preconditions():
         total_edge_cover_forest(graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError, match="3 vertices"):
         total_edge_cover_forest(graph(2, [(0, 1)]))
+
+
+def _attach_on_scan(G, packing):
+    """The edges (sorted) and trace of total_edge_cover_forest after its
+    packing, as first written: each attach rescans from vertex 0 for the
+    lowest uncovered vertex with a covered neighbor."""
+    nbrs = [{w for e in G.edges if v in e for w in e if w != v}
+            for v in range(G.n)]
+    covered = {v for path in packing for v in path}
+    edges, trace = [], []
+    for a, c, b in packing:
+        edges += [(min(a, c), max(a, c)), (min(c, b), max(c, b))]
+        trace.append(("seed", (a, c, b), ()))
+    while len(covered) < G.n:
+        v = next(u for u in range(G.n)
+                 if u not in covered and nbrs[u] & covered)
+        u = min(nbrs[v] & covered)
+        edges.append((min(u, v), max(u, v)))
+        covered.add(v)
+        trace.append(("attach", (v, u), ()))
+    return tuple(sorted(edges)), tuple(trace)
+
+
+def test_tec_forest_attach_matches_scan():
+    """The attach loop's heap takes the vertices in the order of the scan
+    it replaced, on random connected graphs with exact packings (n <= cap)
+    and greedy ones above it."""
+    rng = random.Random(3141)
+    above = 0
+    for i in range(120):
+        H = _rand_connected_graph_hg(rng, rng.randint(3, 12 if i % 2 else 40))
+        G = graph(H.n, H.edges)
+        r = total_edge_cover_forest(G)
+        packing = p3_packing(G, "exact" if G.n <= 16 else "greedy")
+        assert (r.set, r.trace) == _attach_on_scan(G, packing)
+        above += G.n > 16
+    assert above >= 30
+
+
+def test_spanning_tree_matches_list_bfs():
+    """_spanning_tree finds the edges of the list-and-pop(0) BFS, in its
+    order, on random connected graphs, one of them above 1,000 vertices,
+    and names a graph it cannot span."""
+    rng = random.Random(1729)
+    sizes = [rng.randint(1, 30) for _ in range(60)] + [1200]
+    for n in sizes:
+        G = (graph(1, []) if n == 1
+             else graph(n, _rand_connected_graph_hg(rng, n).edges))
+        tree = _spanning_tree(G)
+        assert tree == _bfs_tree_on_lists(G)
+        assert len(tree) == n - 1
+    with pytest.raises(ValueError, match="dual graph is not connected"):
+        _spanning_tree(graph(4, [(0, 1), (2, 3)]))
 
 
 def test_split_rng():

@@ -233,10 +233,13 @@ def test_components_match_list_union_find():
 
 
 def test_induced():
+    """The subset's vertices are re-indexed densely in ascending order,
+    whatever order the subset comes in."""
     H = hypergraph(5, [[0, 1, 2], [2, 3, 4]])
-    sub, back = induced(H, [2, 3, 4])
-    assert back == [2, 3, 4]
+    sub = induced(H, [2, 3, 4])
     assert sub.n == 3 and sub.edges == ((0, 1, 2),)
+    sub = induced(hypergraph(6, [[1, 4], [4, 5], [0, 2]]), [5, 1, 4])
+    assert sub.n == 3 and sub.edges == ((0, 1), (1, 2))
 
 
 def test_class_floor_rows():

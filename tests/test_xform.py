@@ -19,7 +19,7 @@ from hypertrans.xform import (
     two_section,
 )
 from hypertrans.xsearch import random_hypergraph
-from shapes import cubic_graph, disjoint_union
+from shapes import cubic_graph, degree_two_draw, disjoint_union
 
 
 def _rand_covered_hg(rng, n_max=8):
@@ -158,13 +158,33 @@ def test_constructors_match_definitions():
         assert G.to_hypergraph() == hypergraph(G.n, G.edges)
 
 
+def _shared(H, G):
+    """Per edge (a, b) of G, the vertices that H's edges a and b share."""
+    return [set(H.edges[a]) & set(H.edges[b]) for a, b in G.edges]
+
+
 def test_dual_of_incidence_stars_is_k4():
+    """Each edge (a, b) of dual(H) stands for the one vertex H's edges a and
+    b share, and these are H's vertices, each once: on the stars of K4 and
+    on seeded linear draws whose vertices all lie in two edges."""
     H = hypergraph(6, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]])
     G = dual(H)
     assert G.n == 4
     assert G.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    assert G.edge_labels == (0, 1, 2, 3, 4, 5)
+    assert _shared(H, G) == [{0}, {1}, {2}, {3}, {4}, {5}]
     assert tau_t(H).value == ec_t(G).value == 3
+    rng = random.Random(2716)
+    drawn = 0
+    for i in range(60):
+        k = 3 + i % 3
+        H = degree_two_draw(rng, k, 2 * rng.randint(2, 5), 0, True)
+        if H is None:
+            continue
+        drawn += 1
+        shared = _shared(H, dual(H))
+        assert all(len(vs) == 1 for vs in shared)
+        assert sorted(v for vs in shared for v in vs) == list(range(H.n))
+    assert drawn >= 30
 
 
 def test_dual_of_cycle_is_cycle():

@@ -41,8 +41,13 @@ outside its four solves.  One more kind, trial draws, makes the set-up's
 two trial-batch draws, `random_hypergraph(k, n, n, seed,
 require_class=True)` at each (k, n) of perfbench's TRIAL_BATCHES with the
 set-up's seeds: dense draws with k = 20 and 50, unlike the pool's small
-shapes.  Every call must give `==` output on both sides, compared as plain
-tuples and dicts; the rounds and chunks are as above, and each kind's line
+shapes.  And one kind, tt on stars, runs `tt_kuniform` on the
+incidence-star hypergraphs (one edge per graph vertex, holding the graph
+edges at that vertex: 2-regular and linear) of seeded random 3- and
+4-regular graphs of STAR_SIZES vertices, STAR_SEEDS of each shape.  The
+pool's tt calls almost never reach the overlap step or the dual-graph tree
+and forest that finish such an instance at once.  Every call must give
+`==` output on both sides, compared as plain tuples and dicts; the rounds and chunks are as above, and each kind's line
 also gives the median microseconds of one call.
 
 Calibration: an A/A run, on two copies of one tree, reads every kind
@@ -59,6 +64,7 @@ import gc
 import importlib
 import importlib.util
 import os
+import random
 import statistics
 import sys
 from pathlib import Path
@@ -70,7 +76,9 @@ ROUNDS = 20
 CHUNK = 500
 POPULATIONS = ("exact-solve", "pool-enumerate")
 SMALL = "small calls"
-SMALL_KINDS = ("tt", "onh", "two_section", "to_hypergraph",
+STAR_SIZES = (20, 60, 200)
+STAR_SEEDS = 3
+SMALL_KINDS = ("tt", "tt on stars", "onh", "two_section", "to_hypergraph",
                "class_floor_check", "random_hypergraph", "trial draws",
                "verify_bounds", "verify_bounds outside its solves")
 
@@ -150,27 +158,56 @@ def _load(tree: Path, alias: str) -> SimpleNamespace:
         for name in ("construct", "hcore", "solve", "xform", "xsearch")})
 
 
+def _star_edges() -> list[tuple[int, list[list[int]]]]:
+    """(n, edges) of the incidence-star hypergraph of each seeded random
+    d-regular graph, d = 3 and 4, of STAR_SIZES vertices, drawn by the
+    pairing model with rejection."""
+    out = []
+    for d in (3, 4):
+        for size in STAR_SIZES:
+            for seed in range(STAR_SEEDS):
+                rng = random.Random(f"stars {d} {size} {seed}")
+                while True:
+                    points = [v for v in range(size) for _ in range(d)]
+                    rng.shuffle(points)
+                    pairs = {tuple(sorted(points[i:i + 2]))
+                             for i in range(0, d * size, 2)}
+                    if (len(pairs) == d * size // 2
+                            and all(u != v for u, v in pairs)):
+                        break
+                stars = [[] for _ in range(size)]
+                for i, (u, v) in enumerate(sorted(pairs)):
+                    stars[u].append(i)
+                    stars[v].append(i)
+                out.append((len(pairs), stars))
+    return out
+
+
 def _inputs(sides, texts) -> dict[str, tuple]:
-    """Side -> (instances, their 2-sections, their solve answers) from the
-    pool's texts, built in turns: both sides build each instance back to
+    """Side -> (instances, their 2-sections, their solve answers, the star
+    instances) from the pool's texts and _star_edges, built in turns: both sides build each instance back to
     back, the parent first at even positions and the change first at odd
     ones.  Built one side after the other, the side built second ran its
     small calls faster on code both sides shared: in A/A runs on two copies
     of one tree, to_hypergraph read 0.94-0.96 with that side faster in 19
     or 20 of 20 rounds, whichever package was loaded first."""
-    built = {side: ([], [], {}) for side in sides}
+    built = {side: ([], [], {}, []) for side in sides}
     for i, text in enumerate(texts):
         for side in list(sides)[::1 if i % 2 == 0 else -1]:
-            pkg, (hs, graphs, answers) = sides[side], built[side]
+            pkg, (hs, graphs, answers, _) = sides[side], built[side]
             H = pkg.hcore.from_text(text)
             hs.append(H)
             graphs.append(pkg.xform.two_section(H))
             for name in ("tau", "tau_t", "tau_strong", "gamma_t"):
                 answers[id(H), name] = pkg.solve.solve(H, name)
+    for i, (n, edges) in enumerate(_star_edges()):
+        for side in list(sides)[::1 if i % 2 == 0 else -1]:
+            built[side][3].append(sides[side].hcore.hypergraph(n, edges))
     return built
 
 
-def _small_calls(pkg, hs, graphs, answers, trials) -> dict[str, tuple]:
+def _small_calls(pkg, hs, graphs, answers, stars,
+                 trials) -> dict[str, tuple]:
     """Small-call kind -> (function, argument tuples, plain) on pkg and its
     side's inputs and the trial draws' arguments, where plain(result) is the
     result as tuples and dicts, comparable across the two packages."""
@@ -190,12 +227,17 @@ def _small_calls(pkg, hs, graphs, answers, trials) -> dict[str, tuple]:
     def hg(H):
         return H.n, H.edges, H.had_multi_edge
 
+    def result(r):
+        return r.set, r.guarantee, r.trace
+
     each = [(H,) for H in hs]
     return {
-        "tt": (tt, each, lambda r: (r.set, r.guarantee, r.trace)),
+        "tt": (tt, each, result),
+        "tt on stars": (pkg.construct.tt_kuniform, [(H,) for H in stars],
+                        result),
         "onh": (pkg.xform.onh, each, hg),
         "two_section": (pkg.xform.two_section, each,
-                        lambda G: (G.n, G.edges, G.edge_labels)),
+                        lambda G: (G.n, G.edges)),
         "to_hypergraph": (pkg.xform.Graph.to_hypergraph,
                           [(G,) for G in graphs], hg),
         "class_floor_check": (pkg.hcore.class_floor_check, each,
@@ -355,8 +397,9 @@ def main(argv=None) -> int:
                  for side in sides}, total)
         for key in keys:
             _report(key[1], groups[key], moved[key], nodes[key], times[key])
-    print(f"{SMALL} on the pool's {len(texts)} instances and its "
-          f"{len(trials)} trial draws:")
+    print(f"{SMALL} on the pool's {len(texts)} instances, its "
+          f"{len(trials)} trial draws and {len(inputs['parent'][3])} star "
+          f"instances:")
     for kind in SMALL_KINDS:
         _report(kind, runs[SMALL, kind]["parent"][1], None, None,
                 times[SMALL, kind])
